@@ -21,8 +21,9 @@ at the decimation-inverse rows, then verified by regeneration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
-from .engines import BitSeq
+from .engines import BitSeq, lfsr_bit_iter
 from .generators import GeneratorSpec, ccsg_generate, shrink_generate
 from .gf2 import FieldTable, Gf2LinearSystem, RuleVector, continuant_poly, min_poly_of_power
 from .linearize import coset_exponent, linearize_generator
@@ -261,11 +262,8 @@ def phase2_search(known: KnownBits, spec: GeneratorSpec, table: FieldTable) -> P
     d = 1 << (l1 - 1)
     nrows = table.order
     nper = (1 << l1) - 1
-    dist = coset_exponent(l1, len(spec.taps)) % nrows
-    try:
-        inv = pow(dist, -1, nrows)
-    except ValueError as exc:
-        raise NonInvertible(f"distance {dist} is not invertible mod {nrows}") from exc
+    jrows = is2_bit_positions(l1, l2, coset_exponent(l1, len(spec.taps)))
+    inv = jrows[1]
 
     cols = [known.column_bits(c, d) for c in range(d)]
     base_rows = dict(cols[0])
@@ -289,19 +287,10 @@ def phase2_search(known: KnownBits, spec: GeneratorSpec, table: FieldTable) -> P
         if not base_sys.add(vvecs[q], base_rows[q]):
             raise Exhausted(f"column-0 bits are linearly inconsistent at row {q}")
 
-    fb_exps = [k for k in spec.c1.exponents() if k < l1]
     max_tap = max(spec.taps) if spec.taps else 0
     records: list[HypothesisRecord] = []
     candidates: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     nodes = 0
-
-    def extend_a(bits: list[int], upto: int) -> None:
-        while len(bits) < upto:
-            t = len(bits) - l1
-            nxt = 0
-            for k in fb_exps:
-                nxt ^= bits[t + k]
-            bits.append(nxt)
 
     def clock_prefix(bits: list[int], pos: int) -> int:
         """Total SR2 advance before the kept bit at SR1 step pos."""
@@ -355,16 +344,14 @@ def phase2_search(known: KnownBits, spec: GeneratorSpec, table: FieldTable) -> P
     def complete(a_bits: list[int], sys: Gf2LinearSystem, next_col: int) -> None:
         nonlocal nodes
         nodes += 1
-        is1 = tuple(a_bits[:l1])
-        full = list(a_bits)
-        extend_a(full, nper + l1)
+        is1 = tuple(a_bits)
+        full = list(islice(lfsr_bit_iter(spec.c1, is1), nper + l1))
         ones = [t for t in range(nper) if full[t]]
         assert len(ones) == d
         sys2, ncol = flush(full, ones, sys, next_col, is1)
         if sys2 is None:
             return
         assert ncol == len(ones)
-        jrows = [i * inv % nrows for i in range(l2)]
         values = [sys2.value_of(vvecs[j]) for j in jrows]
         if all(v is not None for v in values):
             seeds = [tuple(values)]

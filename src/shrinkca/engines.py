@@ -30,6 +30,9 @@ class ZeroSeed(ValueError):
     """An all-zero register seed where a nonzero one is required."""
 
 
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 @dataclass(frozen=True)
 class BitSeq:
     """Immutable 0/1 sequence with an absolute starting position."""
@@ -38,7 +41,7 @@ class BitSeq:
     origin: int = 0
 
     def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.bits):
+        if self.bits.count(0) + self.bits.count(1) != len(self.bits):
             raise ValueError("bits must be 0 or 1")
         if self.origin < 0:
             raise ValueError("origin must be nonnegative")
@@ -67,7 +70,7 @@ class BitSeq:
         return self.bits[idx]
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return bytes(self.bits).translate(_DIGITS).decode("ascii")
 
 
 def _seed_to_int(seed: Sequence[int]) -> int:

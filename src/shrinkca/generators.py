@@ -19,6 +19,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterator
 
 from .engines import BitSeq, ZeroSeed, lfsr_bit_iter
@@ -29,11 +30,29 @@ __all__ = [
     "ShrunkenStats",
     "shrink_generate",
     "ccsg_generate",
-    "clocked_keystream",
     "decimated_stream",
     "clock_counts",
     "shrunken_stats",
 ]
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _json_int(data: dict, key: str) -> int:
+    """data[key], which must be a JSON integer."""
+    if not _is_int(data[key]):
+        raise ValueError(f"{key} must be an integer, got {data[key]!r}")
+    return data[key]
+
+
+def _json_taps(data: dict) -> tuple[int, ...]:
+    """data["taps"], which must be a JSON list of integers; absent means no taps."""
+    taps = data.get("taps", [])
+    if not isinstance(taps, list) or not all(map(_is_int, taps)):
+        raise ValueError(f"taps must be a list of integers, got {taps!r}")
+    return tuple(taps)
 
 
 @dataclass(frozen=True)
@@ -92,13 +111,13 @@ class GeneratorSpec:
             return tuple(int(ch) for ch in str(data[key]))
 
         return cls(
-            l1=int(data["l1"]),
-            l2=int(data["l2"]),
+            l1=_json_int(data, "l1"),
+            l2=_json_int(data, "l2"),
             c1=Gf2Poly.parse(str(data["c1"])),
             c2=Gf2Poly.parse(str(data["c2"])),
             is1=seed("is1"),
             is2=seed("is2"),
-            taps=tuple(int(t) for t in data.get("taps", ())),
+            taps=_json_taps(data),
         )
 
     @classmethod
@@ -152,16 +171,45 @@ def _clocked_steps(spec: GeneratorSpec) -> Iterator[tuple[int, int, int]]:
         state1 = (state1 >> 1) | (new << top1)
 
 
-def clocked_keystream(spec: GeneratorSpec, n: int) -> BitSeq:
-    """Keystream via the variable-clock machinery; works for any tap set."""
+def _interleave(spec: GeneratorSpec, n: int) -> BitSeq:
+    """First n keystream bits, one interleaving column at a time.
+
+    Over one SR1 period of N1 = 2^l1 - 1 steps the d = 2^(l1-1) ones of
+    SR1 fall where SR2 has advanced off_0 < ... < off_(d-1) positions, and
+    the whole period advances SR2 by S.  Column c of the keystream, bits
+    c, c + d, c + 2d, ..., is therefore SR2's PN sequence read from off_c
+    with stride S, modulo SR2's period 2^l2 - 1.  Only the SR2 bits the
+    columns reach are generated, at most one period.
+    """
     if n < 0:
         raise ValueError("bit count must be nonnegative")
-    out = []
-    for a, bprime, _ in _clocked_steps(spec):
-        if len(out) >= n:
-            break
-        if a:
-            out.append(bprime)
+    _require_seeds(spec)
+    assert spec.is1 is not None and spec.is2 is not None
+    nper = (1 << spec.l1) - 1
+    a = list(islice(lfsr_bit_iter(spec.c1, spec.is1), nper + spec.l1))
+    offsets, advance = [], 0
+    for t in range(nper):
+        if a[t]:
+            offsets.append(advance)
+        advance += 1 + sum(a[t + tap] << k for k, tap in enumerate(spec.taps))
+    d = len(offsets)
+    rows = -(-n // d)
+    if not rows:
+        return BitSeq(())
+    period = (1 << spec.l2) - 1
+    size = min(offsets[-1] + (rows - 1) * advance + 1, period)
+    sr2 = bytes(islice(lfsr_bit_iter(spec.c2, spec.is2), size))
+    # only a full-period buffer is ever read past its end, so wrapping is exact
+    stride = advance % period or period
+    out = bytearray(rows * d)
+    for c, off in enumerate(offsets):
+        parts, left, start = [], rows, off % period
+        while left:
+            part = sr2[start : start + left * stride : stride]
+            parts.append(part)
+            left -= len(part)
+            start += len(part) * stride - period
+        out[c::d] = b"".join(parts)
     return BitSeq(tuple(out[:n]))
 
 
@@ -169,26 +217,14 @@ def shrink_generate(spec: GeneratorSpec, n: int) -> BitSeq:
     """Plain shrinking generator keystream (taps must be empty)."""
     if spec.taps:
         raise ValueError("shrink_generate needs an untapped spec; use ccsg_generate")
-    if n < 0:
-        raise ValueError("bit count must be nonnegative")
-    _require_seeds(spec)
-    assert spec.is1 is not None and spec.is2 is not None
-    sr1 = lfsr_bit_iter(spec.c1, spec.is1)
-    sr2 = lfsr_bit_iter(spec.c2, spec.is2)
-    out = []
-    while len(out) < n:
-        a = next(sr1)
-        b = next(sr2)
-        if a:
-            out.append(b)
-    return BitSeq(tuple(out))
+    return _interleave(spec, n)
 
 
 def ccsg_generate(spec: GeneratorSpec, n: int) -> BitSeq:
     """Clock-controlled shrinking generator keystream (taps must be nonempty)."""
     if not spec.taps:
         raise ValueError("ccsg_generate needs at least one tap; use shrink_generate")
-    return clocked_keystream(spec, n)
+    return _interleave(spec, n)
 
 
 def decimated_stream(spec: GeneratorSpec, n: int) -> BitSeq:

@@ -356,40 +356,31 @@ class FieldTable:
         return self.log[acc]
 
 
-def min_poly_of_power(modulus: Gf2Poly, e: int, table: FieldTable | None = None) -> Gf2Poly:
+def min_poly_of_power(modulus: Gf2Poly, e: int) -> Gf2Poly:
     """Minimal polynomial over GF(2) of lambda^e, lambda a root of the primitive modulus.
 
-    The degree equals the size of the cyclotomic coset of e mod 2^m - 1.
+    The product of (x + conjugate) over the conjugates lambda^(e 2^i),
+    taken by repeated squaring; its degree is the size of the cyclotomic
+    coset of e mod 2^m - 1.
     """
-    ft = table if table is not None else FieldTable.build(modulus)
-    n = ft.order
-    e %= n
-    coset = []
-    k = e
+    m = modulus.degree
+    if m is None or m < 1:
+        raise ValueError("field modulus must have degree >= 1")
+    if not is_primitive(modulus):
+        raise NonPrimitiveModulus(f"{modulus.to_text()} is not primitive")
+    mod = modulus.mask
+    root = _pow_mod(0b10, e % ((1 << m) - 1), mod)
+    coeffs = [1]  # field elements, lowest degree first
+    conj = root
     while True:
-        coset.append(k)
-        k = k * 2 % n
-        if k == e:
+        coeffs = [0] + coeffs
+        for i in range(len(coeffs) - 1):
+            coeffs[i] ^= _mul_mod(coeffs[i + 1], conj, mod)
+        conj = _mul_mod(conj, conj, mod)
+        if conj == root:
             break
-    coeffs = [1]
-    for c in coset:
-        root = ft.antilog[c]
-        nxt = [0] * (len(coeffs) + 1)
-        for i, a in enumerate(coeffs):
-            if not a:
-                continue
-            nxt[i + 1] ^= a
-            la = ft.log[a]
-            assert la is not None
-            nxt[i] ^= ft.antilog[(la + c) % n]
-        coeffs = nxt
-    mask = 0
-    for i, a in enumerate(coeffs):
-        if a == 1:
-            mask |= 1 << i
-        elif a:
-            raise ArithmeticError("conjugate product left GF(2); modulus tables corrupt")
-    return Gf2Poly(mask)
+    assert all(c <= 1 for c in coeffs), "conjugate product left GF(2)"
+    return Gf2Poly(sum(c << i for i, c in enumerate(coeffs)))
 
 
 def berlekamp_massey(bits: Sequence[int]) -> Gf2Poly:

@@ -148,6 +148,43 @@ class TestGenerate:
         code, _, err = run(capsys, "generate", "--spec", str(path), "--kind", "shrink", "--bits", "5")
         assert code == 2
 
+    @pytest.mark.parametrize("taps", [None, 5, "01", [0.5], [True]])
+    def test_taps_must_be_integer_list(self, capsys, spec_file, taps):
+        code, _, err = run(
+            capsys,
+            "generate",
+            "--spec",
+            spec_file(dict(EXAMPLE1, taps=taps)),
+            "--kind",
+            "ccsg",
+            "--bits",
+            "5",
+        )
+        assert code == 2
+        assert "taps must be a list of integers" in err
+
+    @pytest.mark.parametrize("key,value", [("l1", "3"), ("l2", 4.0), ("l1", None)])
+    def test_lengths_must_be_integers(self, capsys, spec_file, key, value):
+        code, _, err = run(
+            capsys,
+            "generate",
+            "--spec",
+            spec_file(dict(EXAMPLE1, **{key: value})),
+            "--kind",
+            "shrink",
+            "--bits",
+            "5",
+        )
+        assert code == 2
+        assert f"{key} must be an integer" in err
+
+    def test_negative_origin_rejected(self, capsys, spec_file):
+        argv = ["generate", "--spec", spec_file(EXAMPLE1), "--kind", "shrink", "--bits", "8"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--origin", "-3"])
+        assert exc.value.code == 2
+        assert "nonnegative" in capsys.readouterr().err
+
 
 class TestLinearize:
     def test_rule_vector_lines(self, capsys, spec_file):
@@ -174,6 +211,13 @@ class TestLinearize:
         lines = out.strip().splitlines()
         assert lines[0].split()[0] == "00000000011000000000"
         assert lines[1].split()[0] == "10001100000000110001"
+
+    @pytest.mark.parametrize("taps", [None, 5, "01"])
+    def test_taps_must_be_integer_list(self, capsys, spec_file, taps):
+        spec = spec_file({"l1": 4, "c2": "0,1,3,4,5", "taps": taps})
+        code, _, err = run(capsys, "linearize", "--spec", spec)
+        assert code == 2
+        assert "taps must be a list of integers" in err
 
     def test_degenerate_coset(self, capsys, spec_file):
         spec = spec_file({"l1": 3, "c2": "0,1,4", "taps": [0, 1, 2]})

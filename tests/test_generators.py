@@ -1,15 +1,18 @@
 import json
+import math
 import random
+import tracemalloc
+import warnings
 
 import pytest
 
 from shrinkca.engines import ZeroSeed
-from shrinkca.gf2 import Gf2Poly, NonPrimitiveModulus, berlekamp_massey
+from shrinkca.gf2 import Gf2Poly, NonPrimitiveModulus, berlekamp_massey, is_primitive
 from shrinkca.generators import (
     GeneratorSpec,
+    _clocked_steps,
     ccsg_generate,
     clock_counts,
-    clocked_keystream,
     decimated_stream,
     shrink_generate,
     shrunken_stats,
@@ -118,12 +121,6 @@ class TestShrink:
         assert z[: stats.period] == z[stats.period :]
         assert sum(z[: stats.period]) == stats.ones_per_period
 
-    def test_agrees_with_clocked_form(self):
-        # empty tap set degenerates to the plain generator
-        assert list(clocked_keystream(plain_spec(), 1000)) == list(
-            shrink_generate(plain_spec(), 1000)
-        )
-
 
 class TestClocked:
     def test_clock_counts_line(self):
@@ -156,6 +153,87 @@ class TestClocked:
         bprime = list(decimated_stream(spec, 21))
         kept = [b for a_t, b in zip(a, bprime) if a_t]
         assert kept == list(ccsg_generate(spec, len(kept)))
+
+
+def oracle_keystream(spec: GeneratorSpec, n: int) -> tuple[int, ...]:
+    """Keystream from the bit-serial step machine: keep b'_t where SR1 reads 1."""
+    out = []
+    for a, bprime, _ in _clocked_steps(spec):
+        if len(out) == n:
+            break
+        if a:
+            out.append(bprime)
+    return tuple(out)
+
+
+def random_primitive(rng: random.Random, degree: int) -> Gf2Poly:
+    while True:
+        middle = rng.getrandbits(degree - 1) << 1 if degree > 1 else 0
+        poly = Gf2Poly(1 | middle | 1 << degree)
+        if is_primitive(poly):
+            return poly
+
+
+def random_seed(rng: random.Random, length: int) -> tuple[int, ...]:
+    while True:
+        seed = tuple(rng.getrandbits(1) for _ in range(length))
+        if any(seed):
+            return seed
+
+
+def random_spec(rng: random.Random, l1: int, l2: int, w: int) -> GeneratorSpec:
+    taps = tuple(sorted(rng.sample(range(l1), w)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # w = l1 warns about leaking SR1
+        return GeneratorSpec(
+            l1,
+            l2,
+            random_primitive(rng, l1),
+            random_primitive(rng, l2),
+            random_seed(rng, l1),
+            random_seed(rng, l2),
+            taps,
+        )
+
+
+def engine(spec: GeneratorSpec, n: int) -> tuple[int, ...]:
+    return (ccsg_generate if spec.taps else shrink_generate)(spec, n).bits
+
+
+class TestEngineAgainstOracle:
+    def test_random_specs_every_tap_count(self):
+        rng = random.Random(2010)
+        shapes = [(l1, l2) for l1 in range(1, 6) for l2 in range(l1 + 1, 10) if math.gcd(l1, l2) == 1]
+        for l1, l2 in shapes:
+            for w in range(l1 + 1):
+                spec = random_spec(rng, l1, l2, w)
+                period = shrunken_stats(l1, l2).period
+                for n in (0, 1, rng.randrange(3 * period + 1)):
+                    assert engine(spec, n) == oracle_keystream(spec, n), (spec, n)
+
+    @pytest.mark.parametrize("l1,l2", [(3, 5), (4, 7), (5, 6)])
+    def test_full_period_all_taps(self, l1, l2):
+        # w = l1 makes the per-period SR2 advance exceed the SR2 period, so
+        # every column read wraps around the SR2 buffer many times
+        spec = random_spec(random.Random(l1 * 100 + l2), l1, l2, l1)
+        period = shrunken_stats(l1, l2).period
+        assert engine(spec, period) == oracle_keystream(spec, period)
+
+    def test_full_period_memory_follows_output(self):
+        # at (8, 13, 8 taps) one SR1 period advances SR2 by S = 32895, so
+        # repeating the SR2 period to cover every column would take
+        # (2^13 - 1) S bytes, about 270 MB; the 1 Mbit output takes 9 bytes a bit
+        spec = random_spec(random.Random(8138), 8, 13, 8)
+        period = shrunken_stats(8, 13).period
+        tracemalloc.start()
+        try:
+            z = ccsg_generate(spec, period)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(z) == period
+        assert peak < 16 * period
+        assert z.bits[:256] == oracle_keystream(spec, 256)
 
 
 class TestStats:

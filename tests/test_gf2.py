@@ -315,7 +315,7 @@ class TestMinPolyOfPower:
         rng = random.Random(29)
         for _ in range(40):
             e = rng.randrange(1, t.order)
-            mp = min_poly_of_power(mod, e, t)
+            mp = min_poly_of_power(mod, e)
             assert t.power_sum([e * k % t.order for k in mp.exponents()]) is None
 
 
