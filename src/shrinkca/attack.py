@@ -268,19 +268,9 @@ def phase2_search(known: KnownBits, spec: GeneratorSpec, table: FieldTable) -> P
     cols = [known.column_bits(c, d) for c in range(d)]
     base_rows = dict(cols[0])
 
-    # pn row q as a linear form over the column-0 seed (pn_0 .. pn_(l2-1))
-    vvecs = [0] * nrows
-    for q in range(min(l2, nrows)):
-        vvecs[q] = 1 << q
-    plow = table.modulus.mask & ((1 << l2) - 1)
-    for q in range(l2, nrows):
-        acc = 0
-        rest = plow
-        while rest:
-            low = rest & -rest
-            acc ^= vvecs[q - l2 + low.bit_length() - 1]
-            rest ^= low
-        vvecs[q] = acc
+    # pn row q as a linear form over the column-0 seed (pn_0 .. pn_(l2-1)):
+    # the coefficients of x^q mod base, which is antilog[q]
+    vvecs = table.antilog
 
     base_sys = Gf2LinearSystem(l2)
     for q in sorted(base_rows):
@@ -423,8 +413,7 @@ def full_attack(intercepted: BitSeq, spec: GeneratorSpec) -> AttackResult:
     generate = ccsg_generate if spec.taps else shrink_generate
     verified = []
     for is1, is2 in result.candidates:
-        seeded = spec.with_seeds(is1, is2)
-        if tuple(generate(seeded, len(intercepted))) == tuple(intercepted):
+        if generate(spec.with_seeds(is1, is2), len(intercepted)).raw == intercepted.raw:
             verified.append((is1, is2))
     if not verified:
         raise Exhausted("every surviving candidate failed regeneration")

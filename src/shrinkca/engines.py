@@ -10,13 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .gf2 import Gf2LinearSystem, Gf2Poly, NonPrimitiveModulus, RuleVector, is_primitive
+from .gf2 import Gf2LinearSystem, Gf2Poly, NonPrimitiveModulus, RuleVector, _mul_mod, is_primitive
 
 __all__ = [
     "ZeroSeed",
     "BitSeq",
     "LfsrState",
     "lfsr_generate",
+    "lfsr_bytes",
     "lfsr_bit_iter",
     "CaState",
     "ca_step",
@@ -31,46 +32,85 @@ class ZeroSeed(ValueError):
 
 
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@dataclass(frozen=True)
 class BitSeq:
-    """Immutable 0/1 sequence with an absolute starting position."""
+    """Immutable 0/1 sequence with an absolute starting position.
 
-    bits: tuple[int, ...]
-    origin: int = 0
+    The bits are held as one `bytes` object, one byte (0 or 1) per bit;
+    `bits` and slices are tuple views of it.
+    """
 
-    def __post_init__(self) -> None:
-        if self.bits.count(0) + self.bits.count(1) != len(self.bits):
+    __slots__ = ("_raw", "origin")
+
+    def __init__(self, bits: Sequence[int], origin: int = 0) -> None:
+        if isinstance(bits, int):  # bytes(5) would be five zero bits
+            raise ValueError(f"bits must be a sequence of 0/1 values, got {bits!r}")
+        try:
+            raw = bytes(bits)
+        except (TypeError, ValueError) as exc:
+            raise ValueError("bits must be 0 or 1") from exc
+        if raw.translate(None, b"\x00\x01"):
             raise ValueError("bits must be 0 or 1")
-        if self.origin < 0:
+        if origin < 0:
             raise ValueError("origin must be nonnegative")
+        object.__setattr__(self, "_raw", raw)
+        object.__setattr__(self, "origin", origin)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("BitSeq is immutable")
 
     @classmethod
     def parse(cls, text: str, origin: int = 0) -> "BitSeq":
-        text = text.strip()
-        if any(ch not in "01" for ch in text):
+        raw = text.strip().encode("ascii", "replace")
+        if raw.translate(None, b"01"):
             raise ValueError(f"not a bit string: {text!r}")
-        return cls(tuple(int(ch) for ch in text), origin)
+        return cls(raw.translate(_VALUES), origin)
+
+    @property
+    def raw(self) -> bytes:
+        """The bits as 0/1 bytes."""
+        return self._raw
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        return tuple(self._raw)
 
     def at(self, position: int) -> int:
         """Bit at an absolute position."""
         idx = position - self.origin
-        if idx < 0 or idx >= len(self.bits):
-            raise IndexError(f"position {position} outside [{self.origin}, {self.origin + len(self.bits)})")
-        return self.bits[idx]
+        if idx < 0 or idx >= len(self._raw):
+            raise IndexError(f"position {position} outside [{self.origin}, {self.origin + len(self._raw)})")
+        return self._raw[idx]
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return len(self._raw)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.bits)
+        return iter(self._raw)
 
-    def __getitem__(self, idx: int) -> int:
-        return self.bits[idx]
+    def __getitem__(self, idx):
+        if isinstance(idx, slice):
+            return tuple(self._raw[idx])
+        return self._raw[idx]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BitSeq):
+            return NotImplemented
+        return (self._raw, self.origin) == (other._raw, other.origin)
+
+    def __hash__(self) -> int:
+        return hash((self._raw, self.origin))
+
+    def __reduce__(self):
+        return (BitSeq, (self._raw, self.origin))
+
+    def __repr__(self) -> str:
+        return f"BitSeq.parse({str(self)!r}, origin={self.origin})"
 
     def __str__(self) -> str:
-        return bytes(self.bits).translate(_DIGITS).decode("ascii")
+        return self._raw.translate(_DIGITS).decode("ascii")
 
 
 def _seed_to_int(seed: Sequence[int]) -> int:
@@ -124,12 +164,45 @@ def lfsr_bit_iter(charpoly: Gf2Poly, seed: Sequence[int]) -> Iterator[int]:
         state = (state >> 1) | (new << top)
 
 
-def lfsr_generate(reg: LfsrState, n: int) -> BitSeq:
-    """First n output bits s_0, s_1, ..."""
+def lfsr_bytes(charpoly: Gf2Poly, seed: Sequence[int], n: int) -> bytes:
+    """First n output bits of the register as 0/1 bytes; no primitivity check here.
+
+    Works on the bits packed into one int (bit t = s_t).  If x^m = r(x)
+    mod p, then s_(t+m) is the sum of s_(t+i) over r's exponents i.  With
+    L <= m <= K for the K bits known, that gives the next m - L + 1 bits
+    with one shift and XOR per term of r.  m starts at L, with r the lower
+    terms of p, and doubles (r squared mod p) whenever 2m <= K, so once
+    2L bits are known each step appends more than K/2 - L bits, whatever
+    p's terms are.
+    """
+    deg = charpoly.degree
+    if deg is None or deg < 1:
+        raise ValueError("characteristic polynomial must have degree >= 1")
+    if len(seed) != deg:
+        raise ValueError("seed length mismatch")
     if n < 0:
         raise ValueError("bit count must be nonnegative")
-    it = lfsr_bit_iter(reg.charpoly, reg.seed)
-    return BitSeq(tuple(next(it) for _ in range(n)))
+    mod = charpoly.mask
+    r, m = mod ^ (1 << deg), deg
+    terms = Gf2Poly(r).exponents()
+    state, known = _seed_to_int(seed), deg
+    while known < n:
+        while 2 * m <= known:
+            r, m = _mul_mod(r, r, mod), 2 * m
+            terms = Gf2Poly(r).exponents()
+        width = min(m - deg + 1, n - known)
+        block, base = 0, known - m
+        for i in terms:
+            block ^= state >> (base + i)
+        state |= (block & ((1 << width) - 1)) << known
+        known += width
+    state &= (1 << n) - 1
+    return format(state, f"0{n}b")[::-1].encode("ascii").translate(_VALUES) if n else b""
+
+
+def lfsr_generate(reg: LfsrState, n: int) -> BitSeq:
+    """First n output bits s_0, s_1, ..."""
+    return BitSeq(lfsr_bytes(reg.charpoly, reg.seed, n))
 
 
 @dataclass(frozen=True)
@@ -183,8 +256,7 @@ def decimate(seq: BitSeq, step: int, residue: int) -> BitSeq:
         raise ValueError("step must be positive")
     residue %= step
     first = seq.origin + (residue - seq.origin) % step
-    picked = tuple(seq.at(p) for p in range(first, seq.origin + len(seq), step))
-    return BitSeq(picked, origin=(first - residue) // step)
+    return BitSeq(seq.raw[first - seq.origin :: step], origin=(first - residue) // step)
 
 
 def _cell_basis_traces(rules: RuleVector, cell: int, steps: int) -> list[int]:

@@ -19,10 +19,9 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Iterator
 
-from .engines import BitSeq, ZeroSeed, lfsr_bit_iter
+from .engines import BitSeq, ZeroSeed, lfsr_bit_iter, lfsr_bytes
 from .gf2 import Gf2Poly, NonPrimitiveModulus, is_primitive
 
 __all__ = [
@@ -186,7 +185,7 @@ def _interleave(spec: GeneratorSpec, n: int) -> BitSeq:
     _require_seeds(spec)
     assert spec.is1 is not None and spec.is2 is not None
     nper = (1 << spec.l1) - 1
-    a = list(islice(lfsr_bit_iter(spec.c1, spec.is1), nper + spec.l1))
+    a = lfsr_bytes(spec.c1, spec.is1, nper + spec.l1)
     offsets, advance = [], 0
     for t in range(nper):
         if a[t]:
@@ -195,10 +194,10 @@ def _interleave(spec: GeneratorSpec, n: int) -> BitSeq:
     d = len(offsets)
     rows = -(-n // d)
     if not rows:
-        return BitSeq(())
+        return BitSeq(b"")
     period = (1 << spec.l2) - 1
     size = min(offsets[-1] + (rows - 1) * advance + 1, period)
-    sr2 = bytes(islice(lfsr_bit_iter(spec.c2, spec.is2), size))
+    sr2 = lfsr_bytes(spec.c2, spec.is2, size)
     # only a full-period buffer is ever read past its end, so wrapping is exact
     stride = advance % period or period
     out = bytearray(rows * d)
@@ -210,7 +209,8 @@ def _interleave(spec: GeneratorSpec, n: int) -> BitSeq:
             left -= len(part)
             start += len(part) * stride - period
         out[c::d] = b"".join(parts)
-    return BitSeq(tuple(out[:n]))
+    del out[n:]
+    return BitSeq(out)
 
 
 def shrink_generate(spec: GeneratorSpec, n: int) -> BitSeq:

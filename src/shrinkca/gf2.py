@@ -8,7 +8,9 @@ desk-scale algebra; field tables are refused above degree 24.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -92,18 +94,83 @@ def _inv_mod(a: int, mod: int) -> int:
     return _mod_mask(s0, mod)
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first 20 primes as bases.
+
+    The first 13 of them already decide every n below 3.3e24 (about
+    2^81); above that this is a strong probable-prime test.
+    """
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    odd, twos = n - 1, 0
+    while not odd & 1:
+        odd >>= 1
+        twos += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A nontrivial factor of the odd composite n (Pollard-Brent rho)."""
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise ArithmeticError(f"no factor found for {n}")
+
+
 def _prime_factors(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+    """Distinct prime factors of n >= 1, ascending."""
+    if n < 1:
+        raise ValueError("can only factor positive integers")
+    out = set()
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            out.add(p)
+            while n % p == 0:
+                n //= p
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if _is_prime(m):
+            out.add(m)
+        else:
+            f = _rho_factor(m)
+            stack += [f, m // f]
+    return sorted(out)
 
 
 @dataclass(frozen=True, order=True)
@@ -311,14 +378,13 @@ class FieldTable:
 
     antilog[k] is the mask of alpha^k for k in [0, 2^m - 2]; log inverts it
     (log[0] is None); zech[k] is log(1 + alpha^k), None exactly at k = 0
-    where the sum vanishes.
+    where the sum vanishes.  zech is computed on first use.
     """
 
     modulus: Gf2Poly
     m: int
     antilog: tuple[int, ...]
     log: tuple[int | None, ...]
-    zech: tuple[int | None, ...]
 
     @classmethod
     def build(cls, modulus: Gf2Poly) -> "FieldTable":
@@ -339,8 +405,11 @@ class FieldTable:
             v <<= 1
             if v >> m & 1:
                 v ^= modulus.mask
-        zech = tuple(log[antilog[k] ^ 1] for k in range(size))
-        return cls(modulus, m, tuple(antilog), tuple(log), zech)
+        return cls(modulus, m, tuple(antilog), tuple(log))
+
+    @cached_property
+    def zech(self) -> tuple[int | None, ...]:
+        return tuple(self.log[a ^ 1] for a in self.antilog)
 
     @property
     def order(self) -> int:

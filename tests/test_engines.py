@@ -12,6 +12,7 @@ from shrinkca.engines import (
     ca_step,
     decimate,
     lfsr_bit_iter,
+    lfsr_bytes,
     lfsr_generate,
     solve_cell_seed,
 )
@@ -59,6 +60,83 @@ class TestBitSeq:
             s.at(3)
         with pytest.raises(IndexError):
             s.at(7)
+
+    @pytest.mark.parametrize("bad", [5, (2,), (-1,), ("1",), None, "01", (0, 1, 256)])
+    def test_rejects_non_bits(self, bad):
+        with pytest.raises(ValueError):
+            BitSeq(bad)
+
+    def test_rejects_negative_origin(self):
+        with pytest.raises(ValueError):
+            BitSeq((1, 0), origin=-1)
+
+    def test_any_bit_sequence(self):
+        want = BitSeq.parse("0110")
+        for src in ((0, 1, 1, 0), [0, 1, 1, 0], b"\x00\x01\x01\x00", bytearray(b"\x00\x01\x01\x00")):
+            assert BitSeq(src) == want
+        assert BitSeq((True, False)) == BitSeq((1, 0))
+
+    def test_tuple_views(self):
+        s = BitSeq.parse("10110")
+        assert type(s.bits) is tuple
+        assert type(s[1:4]) is tuple and s[1:4] == (0, 1, 1)
+        assert s[-1] == 0
+        assert s.raw == b"\x01\x00\x01\x01\x00"
+
+    def test_equality_and_hash(self):
+        a, b = BitSeq.parse("1011", origin=2), BitSeq((1, 0, 1, 1), origin=2)
+        assert a == b and hash(a) == hash(b)
+        assert a != BitSeq.parse("1011") and a != BitSeq.parse("1010", origin=2)
+        assert len({a, b, BitSeq.parse("1011")}) == 2
+        assert BitSeq(()) == BitSeq.parse("")
+
+    def test_immutable(self):
+        s = BitSeq.parse("10")
+        with pytest.raises(AttributeError):
+            s.origin = 3
+
+    def test_str_parse_round_trip(self):
+        rng = random.Random(5)
+        for n in (0, 1, 7, 64, 1000):
+            s = BitSeq(tuple(rng.getrandbits(1) for _ in range(n)), origin=n)
+            assert BitSeq.parse(str(s), origin=n) == s
+
+
+class TestLfsrBytes:
+    def test_against_bit_serial_oracle(self):
+        # every degree 1..31 with x^L + 1, x^L and random (mostly
+        # non-primitive) polynomials; runs cover up to 3 periods of
+        # 2^L - 1 bits, capped at 3 * 4095
+        rng = random.Random(31)
+        for deg in range(1, 32):
+            masks = [(1 << deg) | 1, 1 << deg] + [(1 << deg) | rng.getrandbits(deg) for _ in range(4)]
+            for mask in masks:
+                poly = Gf2Poly(mask)
+                seed = tuple(rng.getrandbits(1) for _ in range(deg))
+                span = 3 * min((1 << deg) - 1, 4095)
+                for n in (0, 1, deg - 1, deg, deg + 1, rng.randrange(span + 1)):
+                    want = bytes(itertools.islice(lfsr_bit_iter(poly, seed), n))
+                    assert lfsr_bytes(poly, seed, n) == want, (poly.to_text(), seed, n)
+
+    def test_long_runs_against_oracle(self):
+        # long enough for many doublings of m, with the top lower term of p
+        # right under x^L and far below it
+        rng = random.Random(61)
+        for text in ("0,30,31", "0,3,31", "0,27,28,29,30,31", "1,2,24", "0,1,2,5,61"):
+            poly = Gf2Poly.parse(text)
+            seed = tuple(rng.getrandbits(1) for _ in range(poly.degree))
+            n = 100_000 + rng.randrange(1000)
+            want = bytes(itertools.islice(lfsr_bit_iter(poly, seed), n))
+            assert lfsr_bytes(poly, seed, n) == want, text
+
+    def test_rejects_bad_arguments(self):
+        poly = Gf2Poly.parse("0,1,4")
+        with pytest.raises(ValueError):
+            lfsr_bytes(poly, (1, 0, 0), 5)
+        with pytest.raises(ValueError):
+            lfsr_bytes(poly, (1, 0, 0, 0), -1)
+        with pytest.raises(ValueError):
+            lfsr_bytes(Gf2Poly.parse("0"), (), 5)
 
 
 class TestLfsr:

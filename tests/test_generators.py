@@ -235,6 +235,22 @@ class TestEngineAgainstOracle:
         assert peak < 16 * period
         assert z.bits[:256] == oracle_keystream(spec, 256)
 
+    def test_full_period_bytes_per_bit(self):
+        # the (6, 17) full period is 4.2 Mbit; one byte a bit for the
+        # output plus one SR2 period leaves well under 6 bytes a bit,
+        # where a tuple of ints alone would take 8
+        spec = random_spec(random.Random(617), 6, 17, 0)
+        period = shrunken_stats(6, 17).period
+        tracemalloc.start()
+        try:
+            z = shrink_generate(spec, period)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(z) == period
+        assert peak < 6 * period
+        assert z[:256] == oracle_keystream(spec, 256)
+
 
 class TestStats:
     @pytest.mark.parametrize(

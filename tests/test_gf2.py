@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -15,6 +16,7 @@ from shrinkca.gf2 import (
     linear_complexity,
     min_poly_of_power,
 )
+from shrinkca.gf2 import _prime_factors
 
 X = Gf2Poly(2)
 ONE = Gf2Poly(1)
@@ -145,6 +147,31 @@ class TestIrreduciblePrimitive:
         assert not is_irreducible(ONE)
         assert not is_primitive(X)  # zero constant term
 
+    @pytest.mark.parametrize("text", ["0,1,2,5,61", "0,3,5,6,62", "0,38,89"])
+    def test_large_degrees_are_fast(self, text):
+        # 2^61 - 1 and 2^89 - 1 are prime; 2^62 - 1 = 3 * 715827883 * 2147483647
+        start = time.perf_counter()
+        assert is_primitive(Gf2Poly.parse(text))
+        assert time.perf_counter() - start < 1.0
+
+    def test_prime_factors_against_trial_division(self):
+        def trial(n):
+            out, f = [], 2
+            while f * f <= n:
+                if n % f == 0:
+                    out.append(f)
+                    while n % f == 0:
+                        n //= f
+                f += 1 if f == 2 else 2
+            return out + ([n] if n > 1 else [])
+
+        for n in range(1, 1 << 16):
+            assert _prime_factors(n) == trial(n), n
+        assert _prime_factors((1 << 62) - 1) == [3, 715827883, 2147483647]
+        assert _prime_factors((1 << 67) - 1) == [193707721, 761838257287]
+        assert 3 * 715827883 * 2147483647 == (1 << 62) - 1
+        assert 193707721 * 761838257287 == (1 << 67) - 1
+
     def test_against_brute_force(self):
         rng = random.Random(13)
         for _ in range(300):
@@ -267,6 +294,11 @@ class TestFieldTable:
         for k in range(1, t.order):
             # alpha^zech(k) = 1 + alpha^k
             assert t.antilog[t.zech[k]] == 1 ^ t.antilog[k]
+
+    def test_zech_is_lazy(self):
+        t = FieldTable.build(Gf2Poly.parse("0,1,2,4,5"))
+        assert "zech" not in vars(t)
+        assert t.zech is t.zech
 
     def test_log_antilog_inverse(self):
         t = FieldTable.build(Gf2Poly.parse("0,3,4"))
