@@ -21,10 +21,11 @@ at the decimation-inverse rows, then verified by regeneration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress
+from typing import Sequence
 
-from .engines import BitSeq, lfsr_bit_iter
-from .generators import GeneratorSpec, ccsg_generate, shrink_generate
+from .engines import BitSeq, lfsr_bytes
+from .generators import GeneratorSpec, ccsg_generate, clock_advances, shrink_generate
 from .gf2 import FieldTable, Gf2LinearSystem, RuleVector, continuant_poly, min_poly_of_power
 from .linearize import coset_exponent, linearize_generator
 
@@ -180,6 +181,9 @@ def phase1_reconstruct(
     known = KnownBits(period)
     for p, bit in enumerate(intercepted):
         known.add(p, bit, "intercepted")
+    # bits k = 0, d, 2d, ... below r: a window fits one column when its
+    # offsets, shifted down to the lowest, all land on these
+    one_column = ((1 << (d * -(-r // d))) - 1) // ((1 << d) - 1)
     records = []
     for ca_idx, rv in enumerate(ca_pair):
         for cell in range(2, len(rv) + 1):
@@ -188,13 +192,11 @@ def phase1_reconstruct(
             base = continuant_poly(rv.bits[: cell - 1])
             acc = base
             for power in range(1, (r - 1) // (cell - 1) + 1):
-                offsets = acc.exponents()
-                acc = acc * base
-                if len(offsets) < 2:
+                poly, acc = acc, acc * base
+                low = poly.mask & -poly.mask
+                if poly.mask == low or (poly.mask // low) & ~one_column:
                     continue
-                residue = offsets[0] % d
-                if any(o % d != residue for o in offsets[1:]):
-                    continue
+                offsets = poly.exponents()
                 shift = table.power_sum((o - offsets[0]) // d for o in offsets)
                 if shift is None:
                     continue
@@ -277,22 +279,9 @@ def phase2_search(known: KnownBits, spec: GeneratorSpec, table: FieldTable) -> P
         if not base_sys.add(vvecs[q], base_rows[q]):
             raise Exhausted(f"column-0 bits are linearly inconsistent at row {q}")
 
-    max_tap = max(spec.taps) if spec.taps else 0
     records: list[HypothesisRecord] = []
     candidates: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     nodes = 0
-
-    def clock_prefix(bits: list[int], pos: int) -> int:
-        """Total SR2 advance before the kept bit at SR1 step pos."""
-        if not spec.taps:
-            return pos
-        total = 0
-        for t in range(pos):
-            x = 1
-            for k, tap in enumerate(spec.taps):
-                x += bits[t + tap] << k
-            total += x
-        return total
 
     def check_column(
         cidx: int, shift: int, sys: Gf2LinearSystem, prefix: tuple[int, ...]
@@ -312,36 +301,30 @@ def phase2_search(known: KnownBits, spec: GeneratorSpec, table: FieldTable) -> P
         return merged
 
     def flush(
-        a_bits: list[int],
-        ones: list[int],
-        sys: Gf2LinearSystem,
-        next_col: int,
-        prefix: tuple[int, ...],
+        bits: Sequence[int], sys: Gf2LinearSystem, next_col: int, prefix: tuple[int, ...]
     ) -> tuple[Gf2LinearSystem | None, int]:
-        """Run due column checks in order; returns (system or None, next column)."""
-        while next_col < len(ones):
-            pos = ones[next_col]
-            if pos + max_tap > len(a_bits):
-                break
-            shift = clock_prefix(a_bits, pos) * inv % nrows
-            nxt = check_column(next_col, shift, sys, prefix)
+        """Run the column checks the SR1 bits make due, in order.
+
+        Column c belongs to SR1's c-th 1; it is due once the bits fix SR2's
+        advance up to that step.  Returns (system or None, next column).
+        """
+        adv = clock_advances(bits, spec.taps)
+        due = list(compress(adv, bits))[:d]
+        for col in range(next_col, len(due)):
+            nxt = check_column(col, due[col] * inv % nrows, sys, prefix)
             if nxt is None:
-                return None, next_col
+                return None, col
             sys = nxt
-            next_col += 1
-        return sys, next_col
+        return sys, len(due)
 
     def complete(a_bits: list[int], sys: Gf2LinearSystem, next_col: int) -> None:
         nonlocal nodes
         nodes += 1
         is1 = tuple(a_bits)
-        full = list(islice(lfsr_bit_iter(spec.c1, is1), nper + l1))
-        ones = [t for t in range(nper) if full[t]]
-        assert len(ones) == d
-        sys2, ncol = flush(full, ones, sys, next_col, is1)
+        sys2, ncol = flush(lfsr_bytes(spec.c1, is1, nper + l1), sys, next_col, is1)
         if sys2 is None:
             return
-        assert ncol == len(ones)
+        assert ncol == d
         values = [sys2.value_of(vvecs[j]) for j in jrows]
         if all(v is not None for v in values):
             seeds = [tuple(values)]
@@ -358,27 +341,22 @@ def phase2_search(known: KnownBits, spec: GeneratorSpec, table: FieldTable) -> P
             candidates.append((is1, is2))
             records.append(HypothesisRecord(is1, None, None, "survivor"))
 
-    def descend(
-        a_bits: list[int], ones: list[int], sys: Gf2LinearSystem, next_col: int
-    ) -> None:
+    def descend(a_bits: list[int], sys: Gf2LinearSystem, next_col: int) -> None:
         filled = len(a_bits)
-        if filled == l1:
-            complete(a_bits, sys, next_col)
-            return
         for pos in range(filled, l1):
             branch = a_bits + [0] * (pos - filled) + [1]
             if len(branch) == l1:
                 complete(branch, sys, next_col)
                 continue
-            sys2, ncol = flush(branch, ones + [pos], sys, next_col, tuple(branch))
+            sys2, ncol = flush(branch, sys, next_col, tuple(branch))
             if sys2 is None:
                 continue
-            descend(branch, ones + [pos], sys2, ncol)
-        descend(a_bits + [0] * (l1 - filled), ones, sys, next_col)
+            descend(branch, sys2, ncol)
+        complete(a_bits + [0] * (l1 - filled), sys, next_col)
 
-    start_sys, start_col = flush([1], [0], base_sys, 0, (1,))
+    start_sys, start_col = flush([1], base_sys, 0, (1,))
     if start_sys is not None:
-        descend([1], [0], start_sys, start_col)
+        descend([1], start_sys, start_col)
     if not candidates:
         raise Exhausted("no SR1/SR2 seed pair survives the column checks")
     return Phase2Result(candidates, nodes, tuple(records))

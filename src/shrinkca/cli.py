@@ -9,14 +9,23 @@ reconstruction), 4 attack found several.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
 
 from .attack import Ambiguous, ConflictingReconstruction, Exhausted, full_attack
 from .engines import BitSeq, CaState, LfsrState, ca_generate, lfsr_generate
-from .generators import GeneratorSpec, _json_int, _json_taps, ccsg_generate, shrink_generate
-from .gf2 import Gf2Poly, RuleVector, min_poly_of_power
+from .generators import (
+    GeneratorSpec,
+    _json_bits,
+    _json_int,
+    _json_poly,
+    _json_taps,
+    ccsg_generate,
+    shrink_generate,
+)
+from .gf2 import RuleVector, min_poly_of_power
 from .linearize import (
     concatenation_chain,
     coset_exponent,
@@ -50,18 +59,22 @@ def _bits_arg(value: str) -> int:
     return n
 
 
+def _required_bits(data: dict, key: str) -> tuple[int, ...]:
+    bits = _json_bits(data, key)
+    if bits is None:
+        raise ValueError(f"{key} is required")
+    return bits
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     data = _load_json(args.spec)
     total = args.origin + args.bits
     if args.kind == "lfsr":
-        poly = Gf2Poly.parse(str(data["c"] if "c" in data else data["c1"]))
-        seed = str(data["seed"] if "seed" in data else data["is1"])
-        reg = LfsrState(poly, tuple(int(ch) for ch in seed))
+        reg = LfsrState(_json_poly(data, "c1", _json_int(data, "l1")), _required_bits(data, "is1"))
         bits = lfsr_generate(reg, total)
     elif args.kind == "ca":
-        rules = RuleVector.from_string(str(data["rules"]))
-        cells = tuple(int(ch) for ch in str(data["cells"]))
-        bits = ca_generate(CaState(rules, cells), total)[0]
+        rules = RuleVector(_required_bits(data, "rules"))
+        bits = ca_generate(CaState(rules, _required_bits(data, "cells")), total)[0]
     else:
         spec = GeneratorSpec.from_json(data)
         if args.kind == "shrink" and spec.taps:
@@ -77,7 +90,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_linearize(args: argparse.Namespace) -> int:
     data = _load_json(args.spec)
     l1 = _json_int(data, "l1")
-    c2 = Gf2Poly.parse(str(data["c2"]))
+    # a linearize spec may leave out l2: the automata follow from l1, c2 and the taps
+    c2 = _json_poly(data, "c2", _json_int(data, "l2") if "l2" in data else None)
     w = len(_json_taps(data))
     pair = linearize_generator(l1, c2, w)
     if args.trace:
@@ -123,6 +137,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shrinkca",

@@ -19,7 +19,8 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator
+from itertools import accumulate, compress
+from typing import Iterator, Sequence
 
 from .engines import BitSeq, ZeroSeed, lfsr_bit_iter, lfsr_bytes
 from .gf2 import Gf2Poly, NonPrimitiveModulus, is_primitive
@@ -29,6 +30,7 @@ __all__ = [
     "ShrunkenStats",
     "shrink_generate",
     "ccsg_generate",
+    "clock_advances",
     "decimated_stream",
     "clock_counts",
     "shrunken_stats",
@@ -44,6 +46,26 @@ def _json_int(data: dict, key: str) -> int:
     if not _is_int(data[key]):
         raise ValueError(f"{key} must be an integer, got {data[key]!r}")
     return data[key]
+
+
+def _json_bits(data: dict, key: str) -> tuple[int, ...] | None:
+    """data[key], which must be a JSON string of 0/1; absent or null means None."""
+    text = data.get(key)
+    if text is None:
+        return None
+    if not isinstance(text, str) or text.strip("01"):
+        raise ValueError(f"{key} must be a string of 0/1, got {text!r}")
+    return tuple(map(int, text))
+
+
+def _json_poly(data: dict, key: str, degree: int | None) -> Gf2Poly:
+    """data[key], a JSON string of exponents, each checked against degree before use."""
+    text = data[key]
+    if not isinstance(text, str):
+        raise ValueError(f"{key} must be a string of exponents, got {text!r}")
+    if degree is not None and any(not 0 <= int(part) <= degree for part in text.split(",")):
+        raise ValueError(f"{key} exponents must lie in [0, {degree}], got {text!r}")
+    return Gf2Poly.parse(text)
 
 
 def _json_taps(data: dict) -> tuple[int, ...]:
@@ -104,18 +126,14 @@ class GeneratorSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "GeneratorSpec":
-        def seed(key: str) -> tuple[int, ...] | None:
-            if key not in data or data[key] is None:
-                return None
-            return tuple(int(ch) for ch in str(data[key]))
-
+        l1, l2 = _json_int(data, "l1"), _json_int(data, "l2")
         return cls(
-            l1=_json_int(data, "l1"),
-            l2=_json_int(data, "l2"),
-            c1=Gf2Poly.parse(str(data["c1"])),
-            c2=Gf2Poly.parse(str(data["c2"])),
-            is1=seed("is1"),
-            is2=seed("is2"),
+            l1=l1,
+            l2=l2,
+            c1=_json_poly(data, "c1", l1),
+            c2=_json_poly(data, "c2", l2),
+            is1=_json_bits(data, "is1"),
+            is2=_json_bits(data, "is2"),
             taps=_json_taps(data),
         )
 
@@ -170,6 +188,21 @@ def _clocked_steps(spec: GeneratorSpec) -> Iterator[tuple[int, int, int]]:
         state1 = (state1 >> 1) | (new << top1)
 
 
+def clock_advances(a: Sequence[int], taps: Sequence[int]) -> list[int]:
+    """SR2's advance before each SR1 step t that the SR1 bits a fix.
+
+    Entry t is X_0 + ... + X_(t-1), for t = 0 .. len(a) - max(taps): step t
+    reads a[t + tap] for every tap, so a fixes X_t while t + max(taps) < len(a).
+    """
+    n = len(a) - max(taps, default=0)
+    if n < 0:
+        return []
+    steps = [1] * n
+    for k, tap in enumerate(taps):
+        steps = [x + (bit << k) for x, bit in zip(steps, a[tap:])]
+    return list(accumulate(steps, initial=0))
+
+
 def _interleave(spec: GeneratorSpec, n: int) -> BitSeq:
     """First n keystream bits, one interleaving column at a time.
 
@@ -186,11 +219,8 @@ def _interleave(spec: GeneratorSpec, n: int) -> BitSeq:
     assert spec.is1 is not None and spec.is2 is not None
     nper = (1 << spec.l1) - 1
     a = lfsr_bytes(spec.c1, spec.is1, nper + spec.l1)
-    offsets, advance = [], 0
-    for t in range(nper):
-        if a[t]:
-            offsets.append(advance)
-        advance += 1 + sum(a[t + tap] << k for k, tap in enumerate(spec.taps))
+    adv = clock_advances(a, spec.taps)
+    offsets, advance = list(compress(adv, a[:nper])), adv[nper]
     d = len(offsets)
     rows = -(-n // d)
     if not rows:

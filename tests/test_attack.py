@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -17,8 +18,8 @@ from shrinkca.attack import (
 )
 from shrinkca.engines import BitSeq
 from shrinkca.gf2 import FieldTable, Gf2Poly, min_poly_of_power
-from shrinkca.generators import GeneratorSpec, ccsg_generate, shrink_generate
-from shrinkca.linearize import linearize_generator
+from shrinkca.generators import GeneratorSpec, _clocked_steps, ccsg_generate, shrink_generate
+from shrinkca.linearize import DegenerateCoset, coset_exponent, linearize_generator
 
 INTERCEPT = "101000011001110011010011"
 RECONSTRUCTED = tuple(range(56, 64)) + tuple(range(152, 168)) + tuple(range(184, 192))
@@ -310,3 +311,128 @@ class TestRandomizedSoundness:
             assert res.nodes_expanded <= 1 << (l1 - 1)
             unique += 1
         assert unique >= 10
+
+
+def bit_tuple(text: str) -> tuple[int, ...]:
+    return tuple(map(int, text))
+
+
+def nonzero_seeds(n: int) -> list[tuple[int, ...]]:
+    return [s for s in itertools.product((0, 1), repeat=n) if any(s)]
+
+
+def record_lines(records) -> list[str]:
+    lines = []
+    for r in records:
+        where = "" if r.column is None else f" c{r.column} s{r.shift}"
+        row = "" if r.row is None else f" r{r.row}"
+        lines.append(f"{''.join(map(str, r.prefix))}{where} {r.outcome}{row}")
+    return lines
+
+
+# (l1, l2, c1, c2, taps, intercept, candidates, nodes, records): the records
+# pin the search order and every column's shift on tapped specs
+PINNED_TAPPED = [
+    (3, 5, "0,2,3", "0,2,5", (1,), "101010110001", [("110", "10011")], 4, """
+        1 c0 s0 accepted | 11 c1 s3 accepted | 111 c2 s6 accepted | 111 c3 s26 rejected r0
+        110 c2 s23 accepted | 110 c3 s29 accepted | 110 survivor | 101 c1 s20 accepted
+        101 c2 s26 rejected r2 | 100 c1 s6 rejected r26
+    """),
+    (3, 5, "0,1,3", "0,2,3,4,5", (0, 2), "00011011", [("101", "01101")], 4, """
+        11 c0 s0 accepted | 111 c1 s10 accepted | 111 c2 s15 rejected r0
+        110 c1 s5 accepted | 110 c2 s20 rejected r0 | 101 c0 s0 accepted
+        101 c1 s2 accepted | 101 c2 s12 accepted | 101 c3 s17 accepted | 101 survivor
+        100 c0 s0 accepted | 100 c1 s15 accepted | 100 c2 s17 accepted | 100 c3 s27 rejected r0
+    """),
+    (4, 5, "0,3,4", "0,1,3,4,5", (1, 3), "101110100110001110100111", [("1011", "10101")], 8, """
+        111 c0 s0 accepted | 1111 c1 s16 rejected r2 | 1110 c1 s8 accepted
+        1110 c2 s24 rejected r2 | 1101 c0 s0 accepted | 1101 c1 s16 rejected r2
+        1100 c0 s0 accepted | 1100 c1 s8 accepted | 1100 c2 s1 rejected r0
+        101 c0 s0 accepted | 1011 c1 s20 accepted | 1011 c2 s28 accepted
+        1011 c3 s21 accepted | 1011 c4 s3 accepted | 1011 c5 s19 accepted
+        1011 c6 s27 accepted | 1011 c7 s12 accepted | 1011 survivor
+        1010 c1 s20 accepted | 1010 c2 s9 rejected r0 | 1001 c0 s0 accepted
+        1001 c1 s24 accepted | 1001 c2 s6 accepted | 1001 c3 s22 rejected r0
+        1000 c0 s0 accepted | 1000 c1 s13 rejected r0
+    """),
+]
+
+
+class TestPhase2Pinned:
+    @pytest.mark.parametrize("l1,l2,c1,c2,taps,intercept,candidates,nodes,records", PINNED_TAPPED)
+    def test_tapped_records(self, l1, l2, c1, c2, taps, intercept, candidates, nodes, records):
+        pub = GeneratorSpec(l1, l2, Gf2Poly.parse(c1), Gf2Poly.parse(c2), taps=taps)
+        table = FieldTable.build(min_poly_of_power(pub.c2, coset_exponent(l1, len(taps))))
+        pair = linearize_generator(l1, pub.c2, len(taps))
+        known, _ = phase1_reconstruct(BitSeq.parse(intercept), pair, l1, table)
+        result = phase2_search(known, pub, table)
+        assert result.candidates == [(bit_tuple(a), bit_tuple(b)) for a, b in candidates]
+        assert result.nodes_expanded == nodes
+        assert record_lines(result.records) == [
+            line.strip() for line in records.replace("\n", "|").split("|") if line.strip()
+        ]
+
+
+def oracle_prefix(spec: GeneratorSpec, n: int) -> bytes:
+    """First n keystream bits from the bit-serial step machine."""
+    out = bytearray()
+    steps = _clocked_steps(spec)
+    while len(out) < n:
+        a, bprime, _ = next(steps)
+        if a:
+            out.append(bprime)
+    return bytes(out)
+
+
+class TestExhaustiveCompleteness:
+    # one primitive (c1, c2) per shape with l1 <= 3, l2 <= 5
+    SHAPES = {
+        (1, 2): ("0,1", "0,1,2"),
+        (1, 3): ("0,1", "0,1,3"),
+        (2, 3): ("0,1,2", "0,1,3"),
+        (2, 5): ("0,1,2", "0,2,5"),
+        (3, 4): ("0,1,3", "0,1,4"),
+        (3, 5): ("0,2,3", "0,2,5"),
+    }
+
+    @pytest.mark.filterwarnings("ignore:tap count equals")
+    @pytest.mark.parametrize("l1,l2", sorted(SHAPES))
+    def test_candidates_equal_brute_force(self, l1, l2):
+        """For every tap set and every seed pair, the attack's answer on the
+        pair's intercept (and on that intercept with its last bit flipped)
+        is exactly the set of pairs with is1[0] = 1 that produce it."""
+        c1, c2 = (Gf2Poly.parse(text) for text in self.SHAPES[l1, l2])
+        d = 1 << (l1 - 1)
+        attacked, degenerate = 0, []
+        for w in range(l1 + 1):
+            for taps in itertools.combinations(range(l1), w):
+                pub = GeneratorSpec(l1, l2, c1, c2, taps=taps)
+                in_regime = math.gcd(coset_exponent(l1, w), (1 << l2) - 1) == 1
+                if not in_regime:
+                    degenerate.append(taps)
+                for r in (d, 3 * d):
+                    fits: dict[bytes, set] = {}
+                    for is1 in nonzero_seeds(l1):
+                        for is2 in nonzero_seeds(l2):
+                            z = oracle_prefix(pub.with_seeds(is1, is2), r)
+                            fits.setdefault(z, set())
+                            if is1[0] == 1:
+                                fits[z].add((is1, is2))
+                    intercepts = set(fits) | {z[:-1] + bytes([z[-1] ^ 1]) for z in fits}
+                    for z in sorted(intercepts):
+                        if not in_regime:
+                            with pytest.raises(DegenerateCoset, match="coset size"):
+                                full_attack(BitSeq(z), pub)
+                            continue
+                        try:
+                            res = full_attack(BitSeq(z), pub)
+                            found = {(res.is1, res.is2)}
+                        except Ambiguous as exc:
+                            found = set(exc.candidates)
+                        except (Exhausted, ConflictingReconstruction):
+                            found = set()
+                        assert found == fits.get(z, set()), (taps, r, z)
+                        attacked += 1
+        assert attacked
+        # only D = 35 (all three taps) shares a factor, 5, with 2^4 - 1
+        assert degenerate == ([(0, 1, 2)] if (l1, l2) == (3, 4) else [])

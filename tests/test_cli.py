@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from shrinkca.cli import main
+from shrinkca.cli import _build_parser, main
 
 EXAMPLE1 = {"l1": 3, "l2": 4, "c1": "0,2,3", "c2": "0,1,4", "is1": "100", "is2": "1000"}
 EXAMPLE2 = dict(EXAMPLE1, taps=[0])
@@ -178,6 +178,47 @@ class TestGenerate:
         assert code == 2
         assert f"{key} must be an integer" in err
 
+    @pytest.mark.parametrize(
+        "kind,key,value",
+        [("shrink", "is1", 100), ("shrink", "is2", 1000), ("shrink", "is1", [1, 0, 0]), ("lfsr", "is1", 100)],
+    )
+    def test_seeds_must_be_bit_strings(self, capsys, spec_file, kind, key, value):
+        code, _, err = run(
+            capsys,
+            "generate",
+            "--spec",
+            spec_file(dict(EXAMPLE1, **{key: value})),
+            "--kind",
+            kind,
+            "--bits",
+            "5",
+        )
+        assert code == 2
+        assert f"{key} must be a string of 0/1" in err
+
+    @pytest.mark.parametrize("kind", ["shrink", "lfsr"])
+    def test_exponents_checked_before_the_mask_is_built(self, capsys, spec_file, kind):
+        # 1 << 99999999999 would ask for 12.5 GB
+        key = "c2" if kind == "shrink" else "c1"
+        bad = dict(EXAMPLE1, **{key: EXAMPLE1[key] + ",99999999999"})
+        code, _, err = run(
+            capsys, "generate", "--spec", spec_file(bad), "--kind", kind, "--bits", "5"
+        )
+        assert code == 2
+        assert f"{key} exponents must lie in" in err
+
+    def test_lfsr_reads_only_c1_and_is1(self, capsys, spec_file):
+        spec = spec_file({"l1": 3, "c": "0,2,3", "seed": "100"})
+        code, _, err = run(capsys, "generate", "--spec", spec, "--kind", "lfsr", "--bits", "7")
+        assert code == 2
+        assert "c1" in err
+
+    def test_ca_cells_must_be_bit_string(self, capsys, spec_file):
+        spec = spec_file({"rules": "0111", "cells": 1011})
+        code, _, err = run(capsys, "generate", "--spec", spec, "--kind", "ca", "--bits", "4")
+        assert code == 2
+        assert "cells must be a string of 0/1" in err
+
     def test_negative_origin_rejected(self, capsys, spec_file):
         argv = ["generate", "--spec", spec_file(EXAMPLE1), "--kind", "shrink", "--bits", "8"]
         with pytest.raises(SystemExit) as exc:
@@ -218,6 +259,12 @@ class TestLinearize:
         code, _, err = run(capsys, "linearize", "--spec", spec)
         assert code == 2
         assert "taps must be a list of integers" in err
+
+    def test_exponents_checked_against_l2(self, capsys, spec_file):
+        spec = spec_file({"l1": 4, "l2": 5, "c2": "0,1,3,4,5,99999999999"})
+        code, _, err = run(capsys, "linearize", "--spec", spec)
+        assert code == 2
+        assert "c2 exponents must lie in [0, 5]" in err
 
     def test_degenerate_coset(self, capsys, spec_file):
         spec = spec_file({"l1": 3, "c2": "0,1,4", "taps": [0, 1, 2]})
@@ -319,6 +366,21 @@ class TestAttack:
         )
         assert code == 0
         assert json.loads(out)["is1"] == "1001"
+
+
+class TestRepeatedCalls:
+    def test_parser_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_no_state_carried_between_calls(self, capsys, spec_file):
+        argv = ["attack", "--spec", spec_file(PUBLIC53), "--intercepted", INTERCEPT53]
+        code, traced, err = run(capsys, *argv, "--trace")
+        assert code == 0
+        assert "phase 2 hypotheses" in err
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert out == traced
+        assert err == ""
 
 
 class TestEntryPoint:

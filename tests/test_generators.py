@@ -3,15 +3,17 @@ import math
 import random
 import tracemalloc
 import warnings
+from itertools import accumulate, islice
 
 import pytest
 
-from shrinkca.engines import ZeroSeed
+from shrinkca.engines import ZeroSeed, lfsr_bit_iter
 from shrinkca.gf2 import Gf2Poly, NonPrimitiveModulus, berlekamp_massey, is_primitive
 from shrinkca.generators import (
     GeneratorSpec,
     _clocked_steps,
     ccsg_generate,
+    clock_advances,
     clock_counts,
     decimated_stream,
     shrink_generate,
@@ -250,6 +252,27 @@ class TestEngineAgainstOracle:
         assert len(z) == period
         assert peak < 6 * period
         assert z[:256] == oracle_keystream(spec, 256)
+
+
+class TestClockAdvances:
+    def test_against_clock_counts(self):
+        rng = random.Random(4242)
+        for l1 in range(1, 7):
+            for w in range(l1 + 1):
+                spec = random_spec(rng, l1, l1 + 1, w)
+                reach = max(spec.taps, default=0)
+                for n in (0, reach - 1, reach, reach + 1, rng.randrange(40)):
+                    a = list(islice(lfsr_bit_iter(spec.c1, spec.is1), max(n, 0)))
+                    steps = clock_counts(spec, len(a) - reach) if len(a) >= reach else ()
+                    expected = list(accumulate(steps, initial=0)) if len(a) >= reach else []
+                    assert clock_advances(a, spec.taps) == expected, (spec, n)
+                    assert clock_advances(bytes(a), spec.taps) == expected
+
+    def test_small_cases(self):
+        assert clock_advances([1, 0, 1], ()) == [0, 1, 2, 3]
+        assert clock_advances([1, 0, 1], (0, 2)) == [0, 4]
+        assert clock_advances([1, 0], (0, 2)) == [0]
+        assert clock_advances([1], (0, 2)) == []
 
 
 class TestStats:
