@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .engines import BitSeq, lfsr_bytes
 from .generators import GeneratorSpec, ccsg_generate, clock_advances, shrink_generate
-from .gf2 import FieldTable, Gf2LinearSystem, RuleVector, continuant_poly, min_poly_of_power
+from .gf2 import FieldTable, Gf2LinearSystem, Gf2Poly, RuleVector, min_poly_of_power
 from .linearize import coset_exponent, linearize_generator
 
 __all__ = [
@@ -117,12 +117,11 @@ class KnownBits:
             return tuple(sorted(self._entries))
         return tuple(sorted(p for p, (_, src) in self._entries.items() if src == provenance))
 
-    def column_bits(self, column: int, stride: int) -> dict[int, int]:
-        """Known bits of one interleaving column, keyed by row index."""
-        out = {}
-        for p, (bit, _) in self._entries.items():
-            if p % stride == column:
-                out[p // stride] = bit
+    def columns(self, stride: int) -> list[dict[int, int]]:
+        """Known bits of every interleaving column, keyed by row index in ascending order."""
+        out: list[dict[int, int]] = [{} for _ in range(stride)]
+        for p in sorted(self._entries):
+            out[p % stride][p // stride] = self._entries[p][0]
         return out
 
     def __contains__(self, position: int) -> bool:
@@ -155,7 +154,7 @@ def subtriangle_expressions(rules: RuleVector, cell: int, power: int) -> tuple[i
         raise ValueError(f"cell must be in [2, {len(rules)}]")
     if power < 1:
         raise ValueError("power must be >= 1")
-    return (continuant_poly(rules.bits[: cell - 1]) ** power).exponents()
+    return (RuleVector(rules.bits[: cell - 1]).char_poly() ** power).exponents()
 
 
 def phase1_reconstruct(
@@ -166,36 +165,45 @@ def phase1_reconstruct(
 ) -> tuple[KnownBits, tuple[Phase1Record, ...]]:
     """Extend the intercepted prefix with every bit the window identities pin down.
 
-    Windows whose offsets agree modulo d = 2^(l1-1) stay inside one
-    interleaving column; shift-and-add turns the window sum into a single
-    column bit, usually far beyond the prefix.
+    The identities are the powers of each sub-automaton polynomial P = P_(cell-1),
+    stepped once per automaton by P_i = (x + R_i) P_(i-1) + P_(i-2).  P^k stays in
+    one interleaving column (its offsets agree modulo d = 2^(l1-1)) exactly when
+    step = max(d >> a, 1) divides k, 2^a the largest power of two dividing every
+    exponent of P / x^u, u the lowest; only those powers are built.  Shift-and-add
+    turns the window sum into a single column bit, usually far beyond the prefix.
     """
     if intercepted.origin != 0:
         raise ValueError("interception must start at keystream position 0")
     d = 1 << (l1 - 1)
-    nrows = table.order
-    period = d * nrows
+    period = d * table.order
     r = len(intercepted)
     if r < 1 or r > period:
         raise ValueError(f"intercepted length must be in [1, {period}]")
     known = KnownBits(period)
     for p, bit in enumerate(intercepted):
         known.add(p, bit, "intercepted")
-    # bits k = 0, d, 2d, ... below r: a window fits one column when its
-    # offsets, shifted down to the lowest, all land on these
-    one_column = ((1 << (d * -(-r // d))) - 1) // ((1 << d) - 1)
     records = []
     for ca_idx, rv in enumerate(ca_pair):
+        prev2, prev = 0, 1
         for cell in range(2, len(rv) + 1):
-            if cell - 1 > r - 1:
+            if cell > r:
                 break
-            base = continuant_poly(rv.bits[: cell - 1])
-            acc = base
-            for power in range(1, (r - 1) // (cell - 1) + 1):
+            prev2, prev = prev, (prev << 1) ^ (prev if rv.bits[cell - 2] else 0) ^ prev2
+            # P / x^u = S(x^(2^a)) with S not a square.  For k = 2^c m, m odd,
+            # S^k = S^m(x^(2^c)) and S^m is no square (its derivative S^(m-1) S'
+            # is nonzero), so d divides every exponent of P^k / x^(uk) exactly when
+            # d | 2^a k, that is when step = max(d >> a, 1) divides k.  coeffs[s::2s]
+            # holds the terms x^e of P / x^u with e = s mod 2s: span ends at min(2^a, d).
+            coeffs = format(prev, "b")[::-1].lstrip("0")
+            span = 1
+            while span < d and "1" not in coeffs[span :: 2 * span]:
+                span *= 2
+            step, top = d // span, (r - 1) // (cell - 1)
+            if coeffs == "1" or step > top:  # one term, or no window fits
+                continue
+            acc = base = Gf2Poly(prev) ** step
+            for power in range(step, top + 1, step):
                 poly, acc = acc, acc * base
-                low = poly.mask & -poly.mask
-                if poly.mask == low or (poly.mask // low) & ~one_column:
-                    continue
                 offsets = poly.exponents()
                 shift = table.power_sum((o - offsets[0]) // d for o in offsets)
                 if shift is None:
@@ -205,9 +213,7 @@ def phase1_reconstruct(
                     value = 0
                     for o in offsets:
                         value ^= intercepted[t + o]
-                    col = (t + offsets[0]) % d
-                    row = (t + offsets[0]) // d
-                    pos = col + d * ((row + shift) % nrows)
+                    pos = (t + offsets[0] + d * shift) % period
                     if known.add(pos, value, "reconstructed"):
                         produced.append(pos)
                 if produced:
@@ -267,16 +273,16 @@ def phase2_search(known: KnownBits, spec: GeneratorSpec, table: FieldTable) -> P
     jrows = is2_bit_positions(l1, l2, coset_exponent(l1, len(spec.taps)))
     inv = jrows[1]
 
-    cols = [known.column_bits(c, d) for c in range(d)]
-    base_rows = dict(cols[0])
+    cols = known.columns(d)
+    base_rows = cols[0]
 
     # pn row q as a linear form over the column-0 seed (pn_0 .. pn_(l2-1)):
     # the coefficients of x^q mod base, which is antilog[q]
     vvecs = table.antilog
 
     base_sys = Gf2LinearSystem(l2)
-    for q in sorted(base_rows):
-        if not base_sys.add(vvecs[q], base_rows[q]):
+    for q, bit in base_rows.items():
+        if not base_sys.add(vvecs[q], bit):
             raise Exhausted(f"column-0 bits are linearly inconsistent at row {q}")
 
     records: list[HypothesisRecord] = []
@@ -286,15 +292,14 @@ def phase2_search(known: KnownBits, spec: GeneratorSpec, table: FieldTable) -> P
     def check_column(
         cidx: int, shift: int, sys: Gf2LinearSystem, prefix: tuple[int, ...]
     ) -> Gf2LinearSystem | None:
-        colbits = cols[cidx]
-        for q in sorted(colbits):
-            row = (q + shift) % nrows
-            if row in base_rows and base_rows[row] != colbits[q]:
+        colbits = cols[cidx].items()
+        for q, bit in colbits:
+            if base_rows.get((q + shift) % nrows, bit) != bit:
                 records.append(HypothesisRecord(prefix, cidx, shift, "rejected", q))
                 return None
         merged = sys.copy()
-        for q in sorted(colbits):
-            if not merged.add(vvecs[(q + shift) % nrows], colbits[q]):
+        for q, bit in colbits:
+            if not merged.add(vvecs[(q + shift) % nrows], bit):
                 records.append(HypothesisRecord(prefix, cidx, shift, "rejected", q))
                 return None
         records.append(HypothesisRecord(prefix, cidx, shift, "accepted"))
@@ -325,21 +330,13 @@ def phase2_search(known: KnownBits, spec: GeneratorSpec, table: FieldTable) -> P
         if sys2 is None:
             return
         assert ncol == d
-        values = [sys2.value_of(vvecs[j]) for j in jrows]
-        if all(v is not None for v in values):
-            seeds = [tuple(values)]
-        else:
-            seen = []
-            for sol in sys2.solutions():
-                cand = tuple((vvecs[j] & sol).bit_count() & 1 for j in jrows)
-                if cand not in seen:
-                    seen.append(cand)
-            seeds = seen
-        for is2 in seeds:
-            if not any(is2):
-                continue
-            candidates.append((is1, is2))
-            records.append(HypothesisRecord(is1, None, None, "survivor"))
+        # the forms at jrows are lambda^0 .. lambda^(l2-1), a basis: distinct
+        # solutions give distinct seeds
+        for sol in sys2.solutions():
+            is2 = tuple((vvecs[j] & sol).bit_count() & 1 for j in jrows)
+            if any(is2):
+                candidates.append((is1, is2))
+                records.append(HypothesisRecord(is1, None, None, "survivor"))
 
     def descend(a_bits: list[int], sys: Gf2LinearSystem, next_col: int) -> None:
         filled = len(a_bits)

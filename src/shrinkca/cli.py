@@ -89,9 +89,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_linearize(args: argparse.Namespace) -> int:
     data = _load_json(args.spec)
-    l1 = _json_int(data, "l1")
-    # a linearize spec may leave out l2: the automata follow from l1, c2 and the taps
-    c2 = _json_poly(data, "c2", _json_int(data, "l2") if "l2" in data else None)
+    l1, l2 = _json_int(data, "l1"), _json_int(data, "l2")
+    c2 = _json_poly(data, "c2", l2)
+    if c2.degree != l2:
+        raise ValueError(f"c2 degree {c2.degree} != l2 {l2}")
     w = len(_json_taps(data))
     pair = linearize_generator(l1, c2, w)
     if args.trace:
@@ -154,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=_cmd_generate)
 
     lin = sub.add_parser("linearize", help="build the mirror pair of 90/150 automata")
-    lin.add_argument("--spec", required=True, help="JSON parameter file (l1, c2, taps)")
+    lin.add_argument("--spec", required=True, help="JSON parameter file (l1, l2, c2, taps)")
     lin.add_argument("--trace", action="store_true", help="show concatenation steps on stderr")
     lin.add_argument("--output", help="write rule vectors here instead of stdout")
     lin.set_defaults(func=_cmd_linearize)

@@ -58,12 +58,12 @@ def _json_bits(data: dict, key: str) -> tuple[int, ...] | None:
     return tuple(map(int, text))
 
 
-def _json_poly(data: dict, key: str, degree: int | None) -> Gf2Poly:
+def _json_poly(data: dict, key: str, degree: int) -> Gf2Poly:
     """data[key], a JSON string of exponents, each checked against degree before use."""
     text = data[key]
     if not isinstance(text, str):
         raise ValueError(f"{key} must be a string of exponents, got {text!r}")
-    if degree is not None and any(not 0 <= int(part) <= degree for part in text.split(",")):
+    if any(not 0 <= int(part) <= degree for part in text.split(",")):
         raise ValueError(f"{key} exponents must lie in [0, {degree}], got {text!r}")
     return Gf2Poly.parse(text)
 

@@ -10,6 +10,7 @@ from shrinkca.attack import (
     Exhausted,
     KnownBits,
     NonInvertible,
+    Phase1Record,
     full_attack,
     is2_bit_positions,
     phase1_reconstruct,
@@ -57,13 +58,15 @@ class TestKnownBits:
         with pytest.raises(ConflictingReconstruction):
             kb.add(3, 0, "reconstructed")
 
-    def test_column_bits(self):
+    def test_columns(self):
         kb = KnownBits(24)
         kb.add(2, 1, "intercepted")
         kb.add(10, 0, "intercepted")
         kb.add(18, 1, "intercepted")
         kb.add(5, 1, "intercepted")
-        assert kb.column_bits(2, 8) == {0: 1, 1: 0, 2: 1}
+        cols = kb.columns(8)
+        assert cols == [{}, {}, {0: 1, 1: 0, 2: 1}, {}, {}, {0: 1}, {}, {}]
+        assert [list(col) for col in cols] == [[], [], [0, 1, 2], [], [], [0], [], []]
 
     def test_positions_by_provenance(self):
         kb = KnownBits(24)
@@ -148,6 +151,109 @@ class TestPhase1:
             known, _ = phase1_reconstruct(BitSeq(tuple(z[:r])), pair, 4, table)
             for p in known.positions():
                 assert known.get(p) == z[p]
+
+
+def phase1_every_power(intercepted, pair, l1, table):
+    """Phase 1 by its definition: every power of every sub-automaton polynomial,
+    kept when its offsets agree modulo d and its column power sum is nonzero."""
+    d = 1 << (l1 - 1)
+    nrows = table.order
+    r = len(intercepted)
+    known = KnownBits(d * nrows)
+    for p, bit in enumerate(intercepted):
+        known.add(p, bit, "intercepted")
+    records = []
+    for ca, rv in enumerate(pair):
+        for cell in range(2, min(len(rv), r) + 1):
+            for power in range(1, (r - 1) // (cell - 1) + 1):
+                offsets = subtriangle_expressions(rv, cell, power)
+                if len(offsets) == 1 or any((o - offsets[0]) % d for o in offsets):
+                    continue
+                shift = table.power_sum((o - offsets[0]) // d for o in offsets)
+                if shift is None:
+                    continue
+                produced = []
+                for t in range(r - offsets[-1]):
+                    value = sum(intercepted[t + o] for o in offsets) % 2
+                    col, row = (t + offsets[0]) % d, (t + offsets[0]) // d
+                    pos = col + d * ((row + shift) % nrows)
+                    if known.add(pos, value, "reconstructed"):
+                        produced.append(pos)
+                if produced:
+                    records.append(Phase1Record(ca, cell, power, offsets, shift, tuple(produced)))
+    return known, tuple(records)
+
+
+def phase1_outcome(fn, intercepted, pair, l1, table):
+    """Records and every known bit with its provenance, or the conflict raised."""
+    try:
+        known, records = fn(intercepted, pair, l1, table)
+    except ConflictingReconstruction as exc:
+        return str(exc)
+    return [(p, known.get(p), known.provenance(p)) for p in known.positions()], records
+
+
+class TestPhase1Oracle:
+    # (l1, l2, c1, c2): every tap count is in the attack's regime for these
+    SMALL = [
+        (1, 3, "0,1", "0,1,3"),
+        (2, 3, "0,1,2", "0,1,3"),
+        (3, 5, "0,2,3", "0,2,5"),
+        (4, 5, "0,3,4", "0,1,3,4,5"),
+        (5, 7, "0,2,5", "0,1,7"),
+    ]
+    # the public specs the attack-search benchmark workload attacks
+    SEARCH = [
+        (7, 9, "0,3,7", "0,1,4,5,6,8,9", (4,)),
+        (7, 10, "0,1,2,3,7", "0,7,10", ()),
+        (7, 11, "0,1,2,3,5,6,7", "0,2,3,4,5,8,11", (3,)),
+        (8, 9, "0,1,2,3,6,7,8", "0,1,2,3,6,7,9", ()),
+        (8, 11, "0,1,2,7,8", "0,4,5,8,9,10,11", ()),
+    ]
+
+    @staticmethod
+    def check(pub, intercepts):
+        w = len(pub.taps)
+        pair = linearize_generator(pub.l1, pub.c2, w)
+        table = FieldTable.build(min_poly_of_power(pub.c2, coset_exponent(pub.l1, w)))
+        productive = 0
+        for z in intercepts:
+            expected = phase1_outcome(phase1_every_power, z, pair, pub.l1, table)
+            assert phase1_outcome(phase1_reconstruct, z, pair, pub.l1, table) == expected, z
+            productive += isinstance(expected, tuple) and bool(expected[1])
+        return productive
+
+    @pytest.mark.filterwarnings("ignore:tap count equals")
+    @pytest.mark.parametrize("l1,l2,c1,c2", SMALL)
+    def test_every_tap_count(self, l1, l2, c1, c2):
+        rng = random.Random(l1)
+        d = 1 << (l1 - 1)
+        period = d * ((1 << l2) - 1)
+        productive = 0
+        for w in range(l1 + 1):
+            pub = GeneratorSpec(l1, l2, Gf2Poly.parse(c1), Gf2Poly.parse(c2), taps=tuple(range(w)))
+            gen = ccsg_generate if w else shrink_generate
+            intercepts = []
+            for r in (d, 3 * d, rng.randint(1, 8 * d), min(period, 256)):
+                is1 = (1,) + tuple(rng.randrange(2) for _ in range(l1 - 1))
+                is2 = (1,) + tuple(rng.randrange(2) for _ in range(l2 - 1))
+                intercepts.append(BitSeq(gen(pub.with_seeds(is1, is2), r).raw))
+                intercepts.append(BitSeq(tuple(rng.randrange(2) for _ in range(r))))
+            productive += self.check(pub, intercepts)
+        assert productive
+
+    @pytest.mark.parametrize("l1,l2,c1,c2,taps", SEARCH)
+    def test_search_specs(self, l1, l2, c1, c2, taps):
+        rng = random.Random(l2)
+        pub = GeneratorSpec(l1, l2, Gf2Poly.parse(c1), Gf2Poly.parse(c2), taps=taps)
+        gen = ccsg_generate if taps else shrink_generate
+        r = max(3 << (l1 - 1), 2 * (l1 + l2))
+        intercepts = []
+        for _ in range(2):
+            is1 = (1,) + tuple(rng.randrange(2) for _ in range(l1 - 1))
+            is2 = (1,) + tuple(rng.randrange(2) for _ in range(l2 - 1))
+            intercepts.append(BitSeq(gen(pub.with_seeds(is1, is2), r).raw))
+        assert self.check(pub, intercepts) == len(intercepts)
 
 
 class TestPhase2:

@@ -229,7 +229,7 @@ class TestGenerate:
 
 class TestLinearize:
     def test_rule_vector_lines(self, capsys, spec_file):
-        spec = spec_file({"l1": 4, "c2": "0,1,3,4,5", "taps": []})
+        spec = spec_file({"l1": 4, "l2": 5, "c2": "0,1,3,4,5", "taps": []})
         code, out, err = run(capsys, "linearize", "--spec", spec)
         assert code == 0
         lines = out.strip().splitlines()
@@ -239,14 +239,14 @@ class TestLinearize:
         ]
 
     def test_trace_on_stderr(self, capsys, spec_file):
-        spec = spec_file({"l1": 4, "c2": "0,1,3,4,5", "taps": []})
+        spec = spec_file({"l1": 4, "l2": 5, "c2": "0,1,3,4,5", "taps": []})
         code, out, err = run(capsys, "linearize", "--spec", spec, "--trace")
         assert code == 0
         assert "concatenation chain" in err
         assert "8C0300C031" in err
 
     def test_clocked_20_cell_pair(self, capsys, spec_file):
-        spec = spec_file({"l1": 3, "c2": "0,1,2,4,5", "taps": [0, 1, 2]})
+        spec = spec_file({"l1": 3, "l2": 5, "c2": "0,1,2,4,5", "taps": [0, 1, 2]})
         code, out, _ = run(capsys, "linearize", "--spec", spec)
         assert code == 0
         lines = out.strip().splitlines()
@@ -255,7 +255,7 @@ class TestLinearize:
 
     @pytest.mark.parametrize("taps", [None, 5, "01"])
     def test_taps_must_be_integer_list(self, capsys, spec_file, taps):
-        spec = spec_file({"l1": 4, "c2": "0,1,3,4,5", "taps": taps})
+        spec = spec_file({"l1": 4, "l2": 5, "c2": "0,1,3,4,5", "taps": taps})
         code, _, err = run(capsys, "linearize", "--spec", spec)
         assert code == 2
         assert "taps must be a list of integers" in err
@@ -266,8 +266,21 @@ class TestLinearize:
         assert code == 2
         assert "c2 exponents must lie in [0, 5]" in err
 
+    def test_l2_required(self, capsys, spec_file):
+        # without l2 nothing would bound c2's exponents before its mask is built
+        spec = spec_file({"l1": 4, "c2": "0,1,3,4,5"})
+        code, _, err = run(capsys, "linearize", "--spec", spec)
+        assert code == 2
+        assert "l2" in err
+
+    def test_c2_degree_must_be_l2(self, capsys, spec_file):
+        spec = spec_file({"l1": 4, "l2": 6, "c2": "0,1,3,4,5"})
+        code, _, err = run(capsys, "linearize", "--spec", spec)
+        assert code == 2
+        assert "c2 degree 5 != l2 6" in err
+
     def test_degenerate_coset(self, capsys, spec_file):
-        spec = spec_file({"l1": 3, "c2": "0,1,4", "taps": [0, 1, 2]})
+        spec = spec_file({"l1": 3, "l2": 4, "c2": "0,1,4", "taps": [0, 1, 2]})
         code, _, err = run(capsys, "linearize", "--spec", spec)
         assert code == 2
         assert "coset" in err
