@@ -1,0 +1,170 @@
+"""Scale ladder: where one attack's time goes, rung by rung, up to l2 = 23.
+
+Usage (from the repository root):
+
+    python3 bench/ladder.py > ladder.json
+
+The gated benchmark (perfbench/) stops at l2 = 17 and l1 = 8, so it cannot
+see the costs that grow with the SR2 period 2^l2 - 1 or with 2^(l1-1).
+Each rung (l1, l2, taps) here is one attack with polynomials and seeds
+drawn from a random.Random seeded by the rung itself, so every checkout
+attacks the same instances. The intercept is the first
+r = max(3 * 2^(l1-1), 2 * (l1 + l2)) keystream bits.
+
+One run times each layer the attack goes through, called on its own in
+`full_attack`'s order, and then `full_attack` itself:
+
+- linearize: `linearize_generator`
+- min_poly: `min_poly_of_power` of the coset exponent
+- field: `FieldTable.build`
+- phase1, phase2: `phase1_reconstruct`, `phase2_search`
+- regeneration: the full-period keystream the attack reports
+- full_attack: the whole attack, in the same process
+
+A rung runs RUNS times in a child process and reports each layer's median
+and its (min, max). A child still running after CAP_S seconds is killed and
+the rung is recorded as a timeout. Stdlib only; not part of the tests or of
+BENCHMARK.json.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import platform
+import random
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+RUNGS = ((5, 11, 0), (7, 15, 0), (6, 17, 0), (4, 19, 0), (5, 21, 1), (4, 23, 0), (10, 11, 0))
+RUNS = 3
+CAP_S = 60
+
+
+def _instance(l1: int, l2: int, w: int):
+    from shrinkca import (
+        BitSeq,
+        GeneratorSpec,
+        Gf2Poly,
+        ccsg_generate,
+        is_primitive,
+        shrink_generate,
+    )
+
+    rng = random.Random(f"ladder:{l1}:{l2}:{w}")
+
+    def primitive(m: int) -> Gf2Poly:
+        while True:
+            p = Gf2Poly(1 << m | rng.getrandbits(m) | 1)
+            if is_primitive(p):
+                return p
+
+    taps = tuple(sorted(rng.sample(range(l1), w)))
+    public = GeneratorSpec(l1, l2, primitive(l1), primitive(l2), taps=taps)
+    is1 = (1,) + tuple(rng.getrandbits(1) for _ in range(l1 - 1))
+    is2 = tuple(rng.getrandbits(1) for _ in range(l2 - 1)) + (1,)
+    generate = ccsg_generate if w else shrink_generate
+    r = max(3 << (l1 - 1), 2 * (l1 + l2))
+    intercepted = BitSeq(generate(public.with_seeds(is1, is2), r).raw)
+    return public, (is1, is2), intercepted, generate
+
+
+def _one_run(l1: int, l2: int, w: int) -> tuple[dict[str, float], str]:
+    from shrinkca import (
+        FieldTable,
+        coset_exponent,
+        full_attack,
+        linearize_generator,
+        min_poly_of_power,
+        phase1_reconstruct,
+        phase2_search,
+    )
+
+    public, planted, intercepted, generate = _instance(l1, l2, w)
+    times = {}
+
+    def timed(name, fn, *args):
+        start = perf_counter()
+        out = fn(*args)
+        times[name] = perf_counter() - start
+        return out
+
+    pair = timed("linearize", linearize_generator, l1, public.c2, w)
+    base = timed("min_poly", min_poly_of_power, public.c2, coset_exponent(l1, w))
+    table = timed("field", FieldTable.build, base)
+    known, _ = timed("phase1", phase1_reconstruct, intercepted, pair, l1, table)
+    timed("phase2", phase2_search, known, public, table)
+    period = (1 << (l1 - 1)) * ((1 << l2) - 1)
+    timed("regeneration", generate, public.with_seeds(*planted), period)
+    del known, table
+    try:
+        result = timed("full_attack", full_attack, intercepted, public)
+    except Exception as exc:  # an attack that does not recover is recorded, not fatal
+        return times, type(exc).__name__
+    return times, "recovered" if (result.is1, result.is2) == planted else "wrong seeds"
+
+
+def _rung(l1: int, l2: int, w: int) -> dict:
+    runs = [_one_run(l1, l2, w) for _ in range(RUNS)]
+    layers = runs[0][0]
+    return {
+        "outcome": sorted({outcome for _, outcome in runs}),
+        "median_s": {k: statistics.median(t[k] for t, _ in runs) for k in layers},
+        "min_max_s": {k: [min(t[k] for t, _ in runs), max(t[k] for t, _ in runs)] for k in layers},
+    }
+
+
+def _git(*args: str) -> str | None:
+    try:
+        argv = ["git", "-C", str(ROOT), *args]
+        return subprocess.run(argv, capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def _stamp() -> dict:
+    digest = hashlib.sha256()
+    for path in sorted((SRC / "shrinkca").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    status = _git("status", "--porcelain", "src")
+    return {
+        "git_sha": _git("rev-parse", "HEAD"),
+        "src_dirty": None if status is None else bool(status),
+        "source_sha256": digest.hexdigest(),
+        "python": platform.python_version(),
+        "nproc": len(os.sched_getaffinity(0)),
+        "loadavg": os.getloadavg(),
+        "runs": RUNS,
+        "cap_s": CAP_S,
+    }
+
+
+def main() -> None:
+    if sys.argv[1:2] == ["--rung"]:
+        sys.path.insert(0, str(SRC))
+        print(json.dumps(_rung(*map(int, sys.argv[2:5]))))
+        return
+    rungs = []
+    for l1, l2, w in RUNGS:
+        argv = [sys.executable, __file__, "--rung", str(l1), str(l2), str(w)]
+        entry: dict = {"l1": l1, "l2": l2, "taps": w}
+        try:
+            child = subprocess.run(argv, capture_output=True, text=True, timeout=CAP_S, check=True)
+            entry.update(json.loads(child.stdout))
+        except subprocess.TimeoutExpired:
+            entry["timeout"] = True
+        except subprocess.CalledProcessError as exc:
+            entry["error"] = exc.stderr.strip().splitlines()[-1:]
+        print(json.dumps(entry), file=sys.stderr)
+        rungs.append(entry)
+    print(json.dumps({"stamp": _stamp(), "rungs": rungs}, indent=1))
+
+
+if __name__ == "__main__":
+    main()

@@ -21,6 +21,7 @@ at the decimation-inverse rows, then verified by regeneration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress
 from typing import Sequence
 
@@ -277,12 +278,12 @@ def phase2_search(known: KnownBits, spec: GeneratorSpec, table: FieldTable) -> P
     base_rows = cols[0]
 
     # pn row q as a linear form over the column-0 seed (pn_0 .. pn_(l2-1)):
-    # the coefficients of x^q mod base, which is antilog[q]
-    vvecs = table.antilog
+    # the coefficients of x^q mod base, which is alpha^q; hypotheses revisit rows
+    form = lru_cache(maxsize=None)(table.element)
 
     base_sys = Gf2LinearSystem(l2)
     for q, bit in base_rows.items():
-        if not base_sys.add(vvecs[q], bit):
+        if not base_sys.add(form(q), bit):
             raise Exhausted(f"column-0 bits are linearly inconsistent at row {q}")
 
     records: list[HypothesisRecord] = []
@@ -299,7 +300,7 @@ def phase2_search(known: KnownBits, spec: GeneratorSpec, table: FieldTable) -> P
                 return None
         merged = sys.copy()
         for q, bit in colbits:
-            if not merged.add(vvecs[(q + shift) % nrows], bit):
+            if not merged.add(form((q + shift) % nrows), bit):
                 records.append(HypothesisRecord(prefix, cidx, shift, "rejected", q))
                 return None
         records.append(HypothesisRecord(prefix, cidx, shift, "accepted"))
@@ -333,7 +334,7 @@ def phase2_search(known: KnownBits, spec: GeneratorSpec, table: FieldTable) -> P
         # the forms at jrows are lambda^0 .. lambda^(l2-1), a basis: distinct
         # solutions give distinct seeds
         for sol in sys2.solutions():
-            is2 = tuple((vvecs[j] & sol).bit_count() & 1 for j in jrows)
+            is2 = tuple((form(j) & sol).bit_count() & 1 for j in jrows)
             if any(is2):
                 candidates.append((is1, is2))
                 records.append(HypothesisRecord(is1, None, None, "survivor"))

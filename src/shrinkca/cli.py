@@ -182,7 +182,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Ambiguous as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, KeyError, OSError) as exc:  # ValueError covers every validation error
+    except KeyError as exc:  # the spec readers index the JSON object by key
+        print(f"error: missing spec key {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError) as exc:  # ValueError covers every validation error
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,15 +1,17 @@
-"""GF(2) polynomial arithmetic, finite-field log tables, and 90/150 rule vectors.
+"""GF(2) polynomial arithmetic, GF(2^m) field arithmetic, and 90/150 rule vectors.
 
 Polynomials live in plain ints, one bit per degree: bit k holds the
 coefficient of x^k, so 0b100101 is 1 + x^2 + x^5.  The canonical text form
 is the comma-separated exponent list ("0,2,5").  Everything here is exact,
-desk-scale algebra; field tables are refused above degree 24.
+desk-scale algebra.  FieldTable keeps no table of 2^m entries; it
+is refused above degree MAX_FIELD_DEGREE = 24, where the attack's
+full-period report of 2^m bits per column becomes the wall.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -372,19 +374,47 @@ class RuleVector:
         return "".join(str(b) for b in self.bits)
 
 
+def _powers_of_x(mod: int, m: int, count: int) -> list[int]:
+    """alpha^0 .. alpha^(count-1) as masks, alpha = x modulo the degree-m modulus."""
+    out = [0] * count
+    v = 1
+    for k in range(count):
+        out[k] = v
+        v <<= 1
+        if v >> m & 1:
+            v ^= mod
+    return out
+
+
+# Baby steps kept by FieldTable: the whole group up to degree 12, and at
+# least the square root of its order up to MAX_FIELD_DEGREE.
+_BABY_STEPS = 1 << 12
+
+
 @dataclass(frozen=True)
 class FieldTable:
-    """Log/antilog/Zech tables for GF(2^m) over a primitive modulus.
+    """GF(2^m) over a primitive modulus, with no table of 2^m entries.
 
-    antilog[k] is the mask of alpha^k for k in [0, 2^m - 2]; log inverts it
-    (log[0] is None); zech[k] is log(1 + alpha^k), None exactly at k = 0
-    where the sum vanishes.  zech is computed on first use.
+    baby holds alpha^i for i < B = min(2^m - 1, 4096) and baby_log inverts
+    it; giant holds alpha^(B j) for j < ceil((2^m - 1) / B), and back the
+    multiplication by alpha^(-B), one table of 256 entries per byte of the
+    operand.  element(k) is one index, plus one multiplication when
+    k mod 2^m - 1 >= B.  discrete_log is baby-step giant-step: at most
+    len(giant) lookups in baby_log, with one multiplication by alpha^(-B)
+    between them.  Up to degree 12 the baby table is the whole group, so
+    both are single lookups.
+
+    The full tables are built on first read only, as the tests' oracle:
+    antilog[k] is alpha^k for k in [0, 2^m - 2], log inverts it (log[0] is
+    None), and zech[k] is log(1 + alpha^k), None exactly at k = 0.
     """
 
     modulus: Gf2Poly
     m: int
-    antilog: tuple[int, ...]
-    log: tuple[int | None, ...]
+    baby: tuple[int, ...] = field(repr=False, compare=False)
+    baby_log: dict[int, int] = field(repr=False, compare=False)
+    giant: tuple[int, ...] = field(repr=False, compare=False)
+    back: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
     @classmethod
     def build(cls, modulus: Gf2Poly) -> "FieldTable":
@@ -392,37 +422,79 @@ class FieldTable:
         if m is None or m < 1:
             raise ValueError("field modulus must have degree >= 1")
         if m > MAX_FIELD_DEGREE:
-            raise ValueError(f"refusing field tables beyond degree {MAX_FIELD_DEGREE}")
+            raise ValueError(f"field degree {m} is above the supported {MAX_FIELD_DEGREE}")
         if not is_primitive(modulus):
             raise NonPrimitiveModulus(f"{modulus.to_text()} is not primitive")
-        size = (1 << m) - 1
-        antilog = [0] * size
-        log: list[int | None] = [None] * (1 << m)
-        v = 1
-        for k in range(size):
-            antilog[k] = v
-            log[v] = k
-            v <<= 1
-            if v >> m & 1:
-                v ^= modulus.mask
-        return cls(modulus, m, tuple(antilog), tuple(log))
-
-    @cached_property
-    def zech(self) -> tuple[int | None, ...]:
-        return tuple(self.log[a ^ 1] for a in self.antilog)
+        mod, order = modulus.mask, (1 << m) - 1
+        baby = _powers_of_x(mod, m, min(order, _BABY_STEPS))
+        stride = _pow_mod(0b10, len(baby), mod)
+        giant = [1]
+        for _ in range(1, -(-order // len(baby))):
+            giant.append(_mul_mod(giant[-1], stride, mod))
+        baby_log = dict(zip(baby, range(len(baby))))
+        # v -> v alpha^(-B) is GF(2)-linear in v's bits: tabulate it per byte
+        inverse = _pow_mod(0b10, order - len(baby), mod)
+        back = []
+        for low in range(0, m, 8):
+            table = [0]
+            for i in range(low, min(low + 8, m)):
+                column = _mul_mod(inverse, 1 << i, mod)
+                table += [t ^ column for t in table]
+            back.append(tuple(table))
+        return cls(modulus, m, tuple(baby), baby_log, tuple(giant), tuple(back))
 
     @property
     def order(self) -> int:
         """Multiplicative group order 2^m - 1."""
-        return len(self.antilog)
+        return (1 << self.m) - 1
+
+    def element(self, k: int) -> int:
+        """alpha^k as a mask, for any integer k."""
+        baby = self.baby
+        if 0 <= k < len(baby):
+            return baby[k]
+        hi, lo = divmod(k % self.order, len(baby))
+        return _mul_mod(baby[lo], self.giant[hi], self.modulus.mask)
+
+    def discrete_log(self, v: int) -> int | None:
+        """k in [0, 2^m - 2] with alpha^k = v; None for the zero element."""
+        if v < 0 or v >> self.m:
+            raise ValueError(f"{v} is not an element of GF(2^{self.m})")
+        if not v:
+            return None
+        # log v = B j + i with i < B and j < len(giant): the first j at which
+        # v alpha^(-B j) is a baby step alpha^i gives exactly that split
+        for j in range(len(self.giant)):
+            i = self.baby_log.get(v)
+            if i is not None:
+                return len(self.baby) * j + i
+            acc = 0
+            for k, table in enumerate(self.back):
+                acc ^= table[v >> 8 * k & 255]
+            v = acc
+        raise ArithmeticError(f"no discrete log modulo {self.modulus.to_text()}")
 
     def power_sum(self, exponents: Iterable[int]) -> int | None:
         """Discrete log of sum(alpha^e); None when the sum is the zero element."""
         acc = 0
-        n = self.order
         for e in exponents:
-            acc ^= self.antilog[e % n]
-        return self.log[acc]
+            acc ^= self.element(e)
+        return self.discrete_log(acc)
+
+    @cached_property
+    def antilog(self) -> tuple[int, ...]:
+        return tuple(_powers_of_x(self.modulus.mask, self.m, self.order))
+
+    @cached_property
+    def log(self) -> tuple[int | None, ...]:
+        log: list[int | None] = [None] * (1 << self.m)
+        for k, v in enumerate(self.antilog):
+            log[v] = k
+        return tuple(log)
+
+    @cached_property
+    def zech(self) -> tuple[int | None, ...]:
+        return tuple(self.log[a ^ 1] for a in self.antilog)
 
 
 def min_poly_of_power(modulus: Gf2Poly, e: int) -> Gf2Poly:
@@ -529,13 +601,6 @@ class Gf2LinearSystem:
                 self.rows[p] = row ^ aug
         self.rows[piv] = aug
         return True
-
-    def value_of(self, vec: int) -> int | None:
-        """Value of the linear form vec . s if the system pins it, else None."""
-        aug = self._reduce(vec)
-        if aug & ((1 << self.n) - 1):
-            return None
-        return aug >> self.n & 1
 
     def solutions(self) -> Iterator[int]:
         """All solutions as bit masks, free variables counted in binary order."""

@@ -381,6 +381,22 @@ class TestAttack:
         assert json.loads(out)["is1"] == "1001"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generate", "--kind", "shrink", "--bits", "5"),
+        ("linearize",),
+        ("attack", "--intercepted", INTERCEPT53),
+    ],
+)
+def test_missing_spec_key_is_named(capsys, spec_file, argv):
+    spec = {k: v for k, v in PUBLIC53.items() if k != "l2"}
+    code, out, err = run(capsys, argv[0], "--spec", spec_file(spec), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err == "error: missing spec key 'l2'\n"
+
+
 class TestRepeatedCalls:
     def test_parser_built_once(self):
         assert _build_parser() is _build_parser()

@@ -1,8 +1,12 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 
+from shrinkca.attack import phase1_reconstruct, phase2_search
+from shrinkca.engines import BitSeq
+from shrinkca.generators import GeneratorSpec, shrink_generate
 from shrinkca.gf2 import (
     FieldTable,
     Gf2LinearSystem,
@@ -16,7 +20,8 @@ from shrinkca.gf2 import (
     linear_complexity,
     min_poly_of_power,
 )
-from shrinkca.gf2 import _prime_factors
+from shrinkca.gf2 import _pow_mod, _prime_factors
+from shrinkca.linearize import coset_exponent, linearize_generator
 
 X = Gf2Poly(2)
 ONE = Gf2Poly(1)
@@ -297,8 +302,8 @@ class TestFieldTable:
 
     def test_zech_is_lazy(self):
         t = FieldTable.build(Gf2Poly.parse("0,1,2,4,5"))
-        assert "zech" not in vars(t)
-        assert t.zech is t.zech
+        assert not {"antilog", "log", "zech"} & set(vars(t))
+        assert t.zech is t.zech and t.antilog is t.antilog and t.log is t.log
 
     def test_log_antilog_inverse(self):
         t = FieldTable.build(Gf2Poly.parse("0,3,4"))
@@ -324,6 +329,73 @@ class TestFieldTable:
             FieldTable.build(ONE)
         with pytest.raises(ValueError):
             FieldTable.build(Gf2Poly.parse("0,3,25"))
+
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_every_element_against_full_tables(self, m):
+        # the first primitive modulus of degree m, so degrees 13..16 take the giant steps
+        mod = next(p for p in map(Gf2Poly, range(1 << m | 1, 2 << m, 2)) if is_primitive(p))
+        t = FieldTable.build(mod)
+        assert t.order == (1 << m) - 1 == len(t.antilog)
+        assert (len(t.giant) == 1) == (m <= 12)  # up to degree 12 the baby table is the group
+        assert [t.element(k) for k in range(t.order)] == list(t.antilog)
+        assert [t.discrete_log(v) for v in range(1 << m)] == list(t.log)
+        assert [t.power_sum([0, k]) for k in range(t.order)] == list(t.zech)
+        assert t.element(-1) == t.antilog[-1] and t.element(t.order) == 1
+
+    @pytest.mark.parametrize("m", range(17, 25))
+    def test_random_elements_against_pow_mod(self, m):
+        rng = random.Random(m)
+        while True:
+            mod = Gf2Poly(1 << m | rng.getrandbits(m) | 1)
+            if is_primitive(mod):
+                break
+        t = FieldTable.build(mod)
+        order = t.order
+        for _ in range(40):
+            k = rng.randrange(-3 * order, 3 * order)
+            v = _pow_mod(0b10, k % order, mod.mask)
+            assert t.element(k) == v
+            assert t.discrete_log(v) == k % order
+            exps = [rng.randrange(2 * order) for _ in range(rng.randrange(1, 5))]
+            acc = 0
+            for e in exps:
+                acc ^= _pow_mod(0b10, e, mod.mask)
+            log = t.power_sum(exps)
+            assert (acc == 0) if log is None else _pow_mod(0b10, log, mod.mask) == acc
+        assert t.discrete_log(0) is None
+        assert t.power_sum([5, 5 + order]) is None
+        assert "antilog" not in vars(t) and "log" not in vars(t)
+
+    def test_discrete_log_rejects_non_elements(self):
+        t = FieldTable.build(Gf2Poly.parse("0,1,4"))
+        for v in (-1, 16, 1 << 40):
+            with pytest.raises(ValueError):
+                t.discrete_log(v)
+
+    def test_attack_builds_no_full_table(self):
+        # l2 = 17: a full table would hold 2^17 entries; the attack needs none
+        pub = GeneratorSpec(3, 17, Gf2Poly.parse("0,2,3"), Gf2Poly.parse("0,3,17"))
+        assert is_primitive(pub.c2)
+        secret = pub.with_seeds((1, 0, 1), (0, 1) * 8 + (1,))
+        intercepted = BitSeq(shrink_generate(secret, 40).bits)
+        pair = linearize_generator(pub.l1, pub.c2)
+        t = FieldTable.build(min_poly_of_power(pub.c2, coset_exponent(pub.l1, 0)))
+        known, records = phase1_reconstruct(intercepted, pair, pub.l1, t)
+        result = phase2_search(known, pub, t)
+        assert records and (secret.is1, secret.is2) in result.candidates
+        assert not {"antilog", "log", "zech"} & set(vars(t))
+
+    def test_degree_24_build_is_small(self):
+        mod = Gf2Poly.parse("0,1,2,7,24")
+        tracemalloc.start()
+        try:
+            t = FieldTable.build(mod)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        k = 0xABCDEF
+        assert t.discrete_log(t.element(k)) == k
 
 
 class TestMinPolyOfPower:
@@ -391,13 +463,20 @@ class TestBerlekampMassey:
             assert berlekamp_massey(stream) == charpoly
 
 
+def pinned(s: Gf2LinearSystem, vec: int) -> int | None:
+    """The value the system forces on vec . x, or None, read off consistency adds."""
+    fits = [s.copy().add(vec, bit) for bit in (0, 1)]
+    return None if all(fits) else fits.index(True)
+
+
 class TestLinearSystem:
     def test_solve_pair(self):
         s = Gf2LinearSystem(2)
         assert s.add(0b11, 1)  # x0 + x1 = 1
         assert s.add(0b10, 1)  # x1 = 1
-        assert s.value_of(0b01) == 0
-        assert s.value_of(0b10) == 1
+        assert pinned(s, 0b01) == 0
+        assert pinned(s, 0b10) == 1
+        assert list(s.solutions()) == [0b10]
         assert s.rank == 2
 
     def test_contradiction(self):
@@ -415,8 +494,8 @@ class TestLinearSystem:
     def test_underdetermined_value_is_none(self):
         s = Gf2LinearSystem(3)
         s.add(0b101, 1)
-        assert s.value_of(0b001) is None
-        assert s.value_of(0b101) == 1
+        assert pinned(s, 0b001) is None
+        assert pinned(s, 0b101) == 1
 
     def test_solutions_enumeration(self):
         s = Gf2LinearSystem(3)
@@ -431,8 +510,8 @@ class TestLinearSystem:
         s.add(0b01, 1)
         c = s.copy()
         c.add(0b10, 0)
-        assert s.value_of(0b10) is None
-        assert c.value_of(0b10) == 0
+        assert pinned(s, 0b10) is None
+        assert pinned(c, 0b10) == 0
 
     def test_random_consistency(self):
         rng = random.Random(37)
