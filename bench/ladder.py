@@ -1,4 +1,4 @@
-"""Scale ladder: where one attack's time goes, rung by rung, up to l2 = 23.
+"""Scale ladder: where one attack's time goes, rung by rung, up to l2 = 61.
 
 Usage (from the repository root):
 
@@ -21,6 +21,10 @@ One run times each layer the attack goes through, called on its own in
 - regeneration: the full-period keystream the attack reports
 - full_attack: the whole attack, in the same process
 
+Rungs with l2 above the field cap (gf2.MAX_FIELD_DEGREE) time linearize
+only: the attack refuses them, so their other layers are listed under
+"skipped" and their outcome is "skipped", not an error.
+
 A rung runs RUNS times in a child process and reports each layer's median
 and its (min, max). A child still running after CAP_S seconds is killed and
 the rung is recorded as a timeout. Stdlib only; not part of the tests or of
@@ -42,7 +46,19 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-RUNGS = ((5, 11, 0), (7, 15, 0), (6, 17, 0), (4, 19, 0), (5, 21, 1), (4, 23, 0), (10, 11, 0))
+RUNGS = (
+    (5, 11, 0),
+    (7, 15, 0),
+    (6, 17, 0),
+    (4, 19, 0),
+    (5, 21, 1),
+    (4, 23, 0),
+    (10, 11, 0),
+    (3, 29, 0),
+    (3, 31, 0),
+    (3, 61, 0),
+)
+LAYERS = ("linearize", "min_poly", "field", "phase1", "phase2", "regeneration", "full_attack")
 RUNS = 3
 CAP_S = 60
 
@@ -85,6 +101,7 @@ def _one_run(l1: int, l2: int, w: int) -> tuple[dict[str, float], str]:
         phase1_reconstruct,
         phase2_search,
     )
+    from shrinkca.gf2 import MAX_FIELD_DEGREE
 
     public, planted, intercepted, generate = _instance(l1, l2, w)
     times = {}
@@ -96,6 +113,8 @@ def _one_run(l1: int, l2: int, w: int) -> tuple[dict[str, float], str]:
         return out
 
     pair = timed("linearize", linearize_generator, l1, public.c2, w)
+    if l2 > MAX_FIELD_DEGREE:
+        return times, "skipped"
     base = timed("min_poly", min_poly_of_power, public.c2, coset_exponent(l1, w))
     table = timed("field", FieldTable.build, base)
     known, _ = timed("phase1", phase1_reconstruct, intercepted, pair, l1, table)
@@ -113,11 +132,15 @@ def _one_run(l1: int, l2: int, w: int) -> tuple[dict[str, float], str]:
 def _rung(l1: int, l2: int, w: int) -> dict:
     runs = [_one_run(l1, l2, w) for _ in range(RUNS)]
     layers = runs[0][0]
-    return {
+    entry = {
         "outcome": sorted({outcome for _, outcome in runs}),
         "median_s": {k: statistics.median(t[k] for t, _ in runs) for k in layers},
         "min_max_s": {k: [min(t[k] for t, _ in runs), max(t[k] for t, _ in runs)] for k in layers},
     }
+    skipped = [k for k in LAYERS if k not in layers]
+    if skipped:
+        entry["skipped"] = skipped
+    return entry
 
 
 def _git(*args: str) -> str | None:

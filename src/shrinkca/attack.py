@@ -27,8 +27,8 @@ from typing import Sequence
 
 from .engines import BitSeq, lfsr_bytes
 from .generators import GeneratorSpec, ccsg_generate, clock_advances, shrink_generate
-from .gf2 import FieldTable, Gf2LinearSystem, Gf2Poly, RuleVector, min_poly_of_power
-from .linearize import coset_exponent, linearize_generator
+from .gf2 import FieldTable, Gf2LinearSystem, Gf2Poly, RuleVector
+from .linearize import coset_exponent, linearize_model
 
 __all__ = [
     "Exhausted",
@@ -381,10 +381,9 @@ def full_attack(intercepted: BitSeq, spec: GeneratorSpec) -> AttackResult:
     d = 1 << (spec.l1 - 1)
     if len(intercepted) < d:
         raise ValueError(f"need at least {d} intercepted bits, got {len(intercepted)}")
-    pair = linearize_generator(spec.l1, spec.c2, len(spec.taps))
-    base = min_poly_of_power(spec.c2, coset_exponent(spec.l1, len(spec.taps)))
-    table = FieldTable.build(base)
-    known, p1records = phase1_reconstruct(intercepted, pair, spec.l1, table)
+    model = linearize_model(spec.l1, spec.c2, len(spec.taps))
+    table = FieldTable.build(model.base)
+    known, p1records = phase1_reconstruct(intercepted, model.pair, spec.l1, table)
     result = phase2_search(known, spec, table)
     generate = ccsg_generate if spec.taps else shrink_generate
     verified = []

@@ -25,13 +25,8 @@ from .generators import (
     ccsg_generate,
     shrink_generate,
 )
-from .gf2 import RuleVector, min_poly_of_power
-from .linearize import (
-    concatenation_chain,
-    coset_exponent,
-    linearize_generator,
-    synthesize_ca_pair,
-)
+from .gf2 import RuleVector
+from .linearize import linearize_model
 
 __all__ = ["main"]
 
@@ -94,14 +89,13 @@ def _cmd_linearize(args: argparse.Namespace) -> int:
     if c2.degree != l2:
         raise ValueError(f"c2 degree {c2.degree} != l2 {l2}")
     w = len(_json_taps(data))
-    pair = linearize_generator(l1, c2, w)
+    model = linearize_model(l1, c2, w)
     if args.trace:
-        seeds = synthesize_ca_pair(min_poly_of_power(c2, coset_exponent(l1, w)))
-        for idx, seed in enumerate(seeds):
+        for idx, chain in enumerate(model.chains):
             print(f"automaton {idx + 1} concatenation chain:", file=sys.stderr)
-            for step, rv in enumerate(concatenation_chain(seed, l1 - 1)):
+            for step, rv in enumerate(chain):
                 print(f"  step {step}: {rv} {rv.to_hex()}", file=sys.stderr)
-    _emit("".join(f"{rv} {rv.to_hex()}\n" for rv in pair), args.output)
+    _emit("".join(f"{rv} {rv.to_hex()}\n" for rv in model.pair), args.output)
     return 0
 
 

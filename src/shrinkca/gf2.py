@@ -59,7 +59,14 @@ def _divmod_mask(a: int, b: int) -> tuple[int, int]:
 
 
 def _mod_mask(a: int, b: int) -> int:
-    return _divmod_mask(a, b)[1]
+    if b == 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    db = b.bit_length()
+    shift = a.bit_length() - db
+    while shift >= 0:
+        a ^= b << shift
+        shift = a.bit_length() - db
+    return a
 
 
 def _gcd_mask(a: int, b: int) -> int:

@@ -245,6 +245,22 @@ class TestLinearize:
         assert "concatenation chain" in err
         assert "8C0300C031" in err
 
+    def test_trace_chain_bytes(self, capsys, spec_file):
+        spec = spec_file({"l1": 3, "l2": 5, "c2": "0,2,5", "taps": []})
+        code, out, err = run(capsys, "linearize", "--spec", spec, "--trace")
+        assert code == 0
+        assert out == "00010010011001001000 12648\n11001100100100110011 CC933\n"
+        assert err == (
+            "automaton 1 concatenation chain:\n"
+            "  step 0: 00011 18\n"
+            "  step 1: 0001001000 120\n"
+            "  step 2: 00010010011001001000 12648\n"
+            "automaton 2 concatenation chain:\n"
+            "  step 0: 11000 C0\n"
+            "  step 1: 1100110011 CCC\n"
+            "  step 2: 11001100100100110011 CC933\n"
+        )
+
     def test_clocked_20_cell_pair(self, capsys, spec_file):
         spec = spec_file({"l1": 3, "l2": 5, "c2": "0,1,2,4,5", "taps": [0, 1, 2]})
         code, out, _ = run(capsys, "linearize", "--spec", spec)

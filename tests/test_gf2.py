@@ -20,7 +20,7 @@ from shrinkca.gf2 import (
     linear_complexity,
     min_poly_of_power,
 )
-from shrinkca.gf2 import _pow_mod, _prime_factors
+from shrinkca.gf2 import _divmod_mask, _mod_mask, _pow_mod, _prime_factors
 from shrinkca.linearize import coset_exponent, linearize_generator
 
 X = Gf2Poly(2)
@@ -121,6 +121,17 @@ class TestGf2Poly:
     def test_zero_is_falsy(self):
         assert not ZERO
         assert ONE
+
+    def test_mod_mask_matches_divmod_remainder(self):
+        rng = random.Random(13)
+        for _ in range(500):
+            a = rng.getrandbits(rng.randrange(0, 262))
+            b = rng.getrandbits(rng.randrange(1, 132)) | 1
+            assert _mod_mask(a, b) == _divmod_mask(a, b)[1]
+        assert _mod_mask(0b1011, 0b1011) == 0
+        assert _mod_mask(0b101, 0b1011) == 0b101
+        with pytest.raises(ZeroDivisionError):
+            _mod_mask(0b101, 0)
 
 
 class TestIrreduciblePrimitive:

@@ -1,16 +1,76 @@
 import random
+import time
 
 import pytest
 
-from shrinkca.gf2 import Gf2Poly, RuleVector, is_primitive, min_poly_of_power
+from shrinkca import linearize
+from shrinkca.gf2 import (
+    Gf2Poly,
+    RuleVector,
+    _inv_mod,
+    _mod_mask,
+    _mul_mask,
+    is_irreducible,
+    is_primitive,
+    min_poly_of_power,
+)
 from shrinkca.linearize import (
     DegenerateCoset,
+    SynthesisFailed,
     coset_exponent,
     concatenate_once,
     concatenation_chain,
     linearize_generator,
+    linearize_model,
     synthesize_ca_pair,
 )
+
+
+def dfs_synthesize_ca_pair(target: Gf2Poly) -> tuple[RuleVector, RuleVector]:
+    """The two mirror-image 90/150 rule vectors with the given characteristic polynomial.
+
+    Depth-first search over rule bits (0 before 1) with the sub-automaton
+    recurrence P_i = (x + R_i) P_(i-1) + P_(i-2).  Once the head passes the
+    midpoint, the cofactor B = target * P_(i-1)^(-1) mod P_i must be the
+    continuant of the remaining tail, so deg B = L - i - 1 exactly; other
+    residues prune the branch.  The first vector found is returned with its
+    mirror (for irreducible targets these are the only two solutions).
+    """
+    deg = target.degree
+    if deg is None or deg < 1:
+        raise ValueError("target must have degree >= 1")
+    if not is_irreducible(target):
+        raise ValueError(f"{target.to_text()} is not irreducible")
+    goal = target.mask
+    found: tuple[int, ...] | None = None
+
+    def dfs(i: int, prev: int, cur: int, rules: tuple[int, ...]) -> None:
+        nonlocal found
+        if found is not None:
+            return
+        if i == deg:
+            if cur == goal:
+                found = rules
+            return
+        if 2 * i >= deg and i >= 1:
+            cofactor = _mod_mask(_mul_mask(_mod_mask(goal, cur), _inv_mod(prev, cur)), cur)
+            if cofactor.bit_length() - 1 != deg - i - 1:
+                return
+        for r in (0, 1):
+            dfs(i + 1, cur, (cur << 1) ^ (cur if r else 0) ^ prev, rules + (r,))
+
+    dfs(0, 0, 1, ())
+    if found is None:
+        raise SynthesisFailed(f"no 90/150 automaton realizes {target.to_text()}")
+    rv = RuleVector(found)
+    return rv, rv.mirrored()
+
+
+def random_irreducible(rng: random.Random, degree: int) -> Gf2Poly:
+    while True:
+        p = Gf2Poly(1 << degree | rng.getrandbits(degree) | 1)
+        if is_irreducible(p):
+            return p
 
 
 def random_primitive(rng: random.Random, max_degree: int) -> Gf2Poly:
@@ -79,6 +139,44 @@ class TestSynthesize:
             assert len(found) == target.degree
 
 
+    def test_matches_dfs_on_every_irreducible_to_degree_12(self):
+        count = 0
+        for deg in range(1, 13):
+            for mask in range(1 << deg, 2 << deg):
+                target = Gf2Poly(mask)
+                if is_irreducible(target):
+                    assert synthesize_ca_pair(target) == dfs_synthesize_ca_pair(target)
+                    count += 1
+        assert count == 2 + 1 + 2 + 3 + 6 + 9 + 18 + 30 + 56 + 99 + 186 + 335
+
+    def test_matches_dfs_on_random_irreducibles_13_to_20(self):
+        rng = random.Random(67)
+        for _ in range(200):
+            target = random_irreducible(rng, rng.randrange(13, 21))
+            assert synthesize_ca_pair(target) == dfs_synthesize_ca_pair(target)
+
+    def test_both_vectors_realize_the_target(self):
+        rng = random.Random(71)
+        for _ in range(60):
+            target = random_irreducible(rng, rng.randrange(2, 90))
+            first, mirror = synthesize_ca_pair(target)
+            assert first.char_poly() == target
+            assert mirror.char_poly() == target
+            assert mirror == first.mirrored()
+            assert first.bits < mirror.bits
+
+    def test_degree_one(self):
+        assert synthesize_ca_pair(Gf2Poly.parse("1")) == (RuleVector((0,)),) * 2
+        assert synthesize_ca_pair(Gf2Poly.parse("0,1")) == (RuleVector((1,)),) * 2
+
+    def test_failure_path_is_unreachable_but_raises(self, monkeypatch):
+        # Every irreducible target has a root with degree-1 quotients (the
+        # tests above), so SynthesisFailed is only reached with Euclid broken.
+        monkeypatch.setattr(linearize, "_euclid_rules", lambda f, g: None)
+        with pytest.raises(SynthesisFailed):
+            synthesize_ca_pair(Gf2Poly.parse("0,2,5"))
+
+
 class TestConcatenation:
     def test_palindrome_step(self):
         rv = RuleVector.from_string("01111")
@@ -143,6 +241,25 @@ class TestLinearizeGenerator:
     def test_degenerate_coset(self):
         with pytest.raises(DegenerateCoset):
             linearize_generator(3, Gf2Poly.parse("0,1,4"), 3)
+
+    @pytest.mark.parametrize("c2", ["0,3,31", "0,1,2,5,61"])
+    def test_large_register_within_a_second(self, c2):
+        c2 = Gf2Poly.parse(c2)
+        start = time.perf_counter()
+        pair = linearize_generator(3, c2)
+        assert time.perf_counter() - start < 1.0
+        base = min_poly_of_power(c2, coset_exponent(3, 0))
+        for rv in pair:
+            assert len(rv) == 4 * c2.degree
+            assert rv.char_poly() == base**4
+
+    def test_model_chains_end_in_the_pair(self):
+        c2 = Gf2Poly.parse("0,1,3,4,5")
+        model = linearize_model(4, c2)
+        assert model.base == min_poly_of_power(c2, 15)
+        assert model.pair == linearize_generator(4, c2)
+        for chain, seed in zip(model.chains, synthesize_ca_pair(model.base)):
+            assert chain == concatenation_chain(seed, 3)
 
     def test_random_instances_obey_char_poly_law(self):
         import math
