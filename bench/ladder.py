@@ -22,8 +22,9 @@ One run times each layer the attack goes through, called on its own in
 - full_attack: the whole attack, in the same process
 
 Rungs with l2 above the field cap (gf2.MAX_FIELD_DEGREE) time linearize
-only: the attack refuses them, so their other layers are listed under
-"skipped" and their outcome is "skipped", not an error.
+and min_poly only, since neither builds a field: the attack refuses them,
+so their other layers are listed under "skipped" and their outcome is
+"skipped", not an error.
 
 A rung runs RUNS times in a child process and reports each layer's median
 and its (min, max). A child still running after CAP_S seconds is killed and
@@ -113,9 +114,9 @@ def _one_run(l1: int, l2: int, w: int) -> tuple[dict[str, float], str]:
         return out
 
     pair = timed("linearize", linearize_generator, l1, public.c2, w)
+    base = timed("min_poly", min_poly_of_power, public.c2, coset_exponent(l1, w))
     if l2 > MAX_FIELD_DEGREE:
         return times, "skipped"
-    base = timed("min_poly", min_poly_of_power, public.c2, coset_exponent(l1, w))
     table = timed("field", FieldTable.build, base)
     known, _ = timed("phase1", phase1_reconstruct, intercepted, pair, l1, table)
     timed("phase2", phase2_search, known, public, table)

@@ -1,7 +1,8 @@
 """Command-line front end: generate keystreams, build CA models, run the attack.
 
 Exit codes: 0 success, 2 validation problem (bad arguments, malformed
-spec, zero seed, non-primitive polynomial, degenerate parameters),
+spec, zero seed, non-primitive polynomial, degenerate parameters, a
+request too large for the memory available),
 3 attack found no consistent state (exhausted search or conflicting
 reconstruction), 4 attack found several.
 """
@@ -181,6 +182,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except (ValueError, OSError) as exc:  # ValueError covers every validation error
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: request too large for the memory available", file=sys.stderr)
         return 2
 
 

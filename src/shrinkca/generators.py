@@ -212,15 +212,19 @@ def _interleave(spec: GeneratorSpec, n: int) -> BitSeq:
     c, c + d, c + 2d, ..., is therefore SR2's PN sequence read from off_c
     with stride S, modulo SR2's period 2^l2 - 1.  Only the SR2 bits the
     columns reach are generated, at most one period.
+
+    SR1 is read only as far as the request needs: an m-sequence has no run
+    of l1 zeros, so n * l1 bits hold the first n ones.  Below a full period
+    there are then at least n columns, one row, and the stride goes unused.
     """
     if n < 0:
         raise ValueError("bit count must be nonnegative")
     _require_seeds(spec)
     assert spec.is1 is not None and spec.is2 is not None
-    nper = (1 << spec.l1) - 1
-    a = lfsr_bytes(spec.c1, spec.is1, nper + spec.l1)
+    span = min((1 << spec.l1) - 1, max(n, 1) * spec.l1)
+    a = lfsr_bytes(spec.c1, spec.is1, span + spec.l1)
     adv = clock_advances(a, spec.taps)
-    offsets, advance = list(compress(adv, a[:nper])), adv[nper]
+    offsets, advance = list(compress(adv, a[:span])), adv[span]
     d = len(offsets)
     rows = -(-n // d)
     if not rows:

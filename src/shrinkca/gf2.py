@@ -507,9 +507,10 @@ class FieldTable:
 def min_poly_of_power(modulus: Gf2Poly, e: int) -> Gf2Poly:
     """Minimal polynomial over GF(2) of lambda^e, lambda a root of the primitive modulus.
 
-    The product of (x + conjugate) over the conjugates lambda^(e 2^i),
-    taken by repeated squaring; its degree is the size of the cyclotomic
-    coset of e mod 2^m - 1.
+    Berlekamp-Massey on a_j = the constant coefficient of lambda^(e j), j < 2m.
+    That linear functional sends 1 to 1, so (a_j) is a nonzero trace sequence
+    of lambda^e over GF(2)(lambda^e) and has lambda^e's minimal polynomial.
+    Its degree is the size of the cyclotomic coset of e mod 2^m - 1.
     """
     m = modulus.degree
     if m is None or m < 1:
@@ -518,17 +519,11 @@ def min_poly_of_power(modulus: Gf2Poly, e: int) -> Gf2Poly:
         raise NonPrimitiveModulus(f"{modulus.to_text()} is not primitive")
     mod = modulus.mask
     root = _pow_mod(0b10, e % ((1 << m) - 1), mod)
-    coeffs = [1]  # field elements, lowest degree first
-    conj = root
-    while True:
-        coeffs = [0] + coeffs
-        for i in range(len(coeffs) - 1):
-            coeffs[i] ^= _mul_mod(coeffs[i + 1], conj, mod)
-        conj = _mul_mod(conj, conj, mod)
-        if conj == root:
-            break
-    assert all(c <= 1 for c in coeffs), "conjugate product left GF(2)"
-    return Gf2Poly(sum(c << i for i, c in enumerate(coeffs)))
+    power, terms = 1, []
+    for _ in range(2 * m):
+        terms.append(power & 1)
+        power = _mul_mod(power, root, mod)
+    return berlekamp_massey(terms)
 
 
 def berlekamp_massey(bits: Sequence[int]) -> Gf2Poly:

@@ -1,15 +1,19 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import shrinkca
 from shrinkca.cli import _build_parser, main
 
 EXAMPLE1 = {"l1": 3, "l2": 4, "c1": "0,2,3", "c2": "0,1,4", "is1": "100", "is2": "1000"}
 EXAMPLE2 = dict(EXAMPLE1, taps=[0])
 PUBLIC53 = {"l1": 4, "l2": 5, "c1": "0,3,4", "c2": "0,1,3,4,5"}
 INTERCEPT53 = "101000011001110011010011"
+README53 = dict(PUBLIC53, is1="1001", is2="10101")
+PUBLIC_L1_33 = {"l1": 33, "l2": 35, "c2": "0,2,35"}
 
 
 @pytest.fixture
@@ -446,3 +450,36 @@ class TestEntryPoint:
         )
         assert proc.returncode == 2
         assert "usage" in (proc.stderr + proc.stdout).lower()
+
+
+def _cap_address_space() -> None:
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+class TestTooLargeForMemory:
+    @pytest.mark.parametrize(
+        "data,argv",
+        [
+            (README53, ["generate", "--kind", "shrink", "--bits", "100000000000"]),
+            (PUBLIC_L1_33, ["linearize"]),  # two automata of 35 * 2^32 cells
+        ],
+        ids=["generate", "linearize"],
+    )
+    def test_exit_2_without_traceback(self, tmp_path, data, argv):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(shrinkca.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "shrinkca", *argv, "--spec", str(path)],
+            env=env,
+            preexec_fn=_cap_address_space,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""

@@ -1,12 +1,17 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
 from itertools import accumulate, islice
 
 import pytest
 
+import shrinkca
 from shrinkca.engines import ZeroSeed, lfsr_bit_iter
 from shrinkca.gf2 import Gf2Poly, NonPrimitiveModulus, berlekamp_massey, is_primitive
 from shrinkca.generators import (
@@ -252,6 +257,31 @@ class TestEngineAgainstOracle:
         assert len(z) == period
         assert peak < 6 * period
         assert z[:256] == oracle_keystream(spec, 256)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+    def test_short_request_reads_sr1_only_as_far_as_needed(self):
+        # one SR1 period at l1 = 33 is 2^33 bytes, far above the child's
+        # 512 MiB address space; a prefix needs only its first ones
+        child = textwrap.dedent(
+            """
+            import resource
+            from itertools import islice
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+            from shrinkca.generators import GeneratorSpec, _clocked_steps, _interleave
+            for taps in ((), (0,), (5, 20, 32)):
+                spec = GeneratorSpec.from_json({
+                    "l1": 33, "l2": 35, "c1": "0,13,33", "c2": "0,2,35",
+                    "is1": "101100111000111100001111100000111",
+                    "is2": "10110011100011110000111110000011111", "taps": list(taps),
+                })
+                for n in (0, 1, 8, 64, 1000):
+                    kept = (b for a, b, _ in _clocked_steps(spec) if a)
+                    assert _interleave(spec, n).raw == bytes(islice(kept, n)), (taps, n)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(shrinkca.__file__)))
+        proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestClockAdvances:

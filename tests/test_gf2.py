@@ -20,7 +20,7 @@ from shrinkca.gf2 import (
     linear_complexity,
     min_poly_of_power,
 )
-from shrinkca.gf2 import _divmod_mask, _mod_mask, _pow_mod, _prime_factors
+from shrinkca.gf2 import _divmod_mask, _mod_mask, _mul_mod, _pow_mod, _prime_factors
 from shrinkca.linearize import coset_exponent, linearize_generator
 
 X = Gf2Poly(2)
@@ -49,6 +49,23 @@ def brute_primitive(p: Gf2Poly) -> bool:
             return False
         acc = (acc * X) % p
     return acc == ONE
+
+
+def conjugate_product_min_poly(modulus: Gf2Poly, e: int) -> Gf2Poly:
+    # product of (x + lambda^(e 2^i)) over the conjugates, by repeated squaring
+    m, mod = modulus.degree, modulus.mask
+    root = _pow_mod(0b10, e % ((1 << m) - 1), mod)
+    coeffs = [1]  # field elements, lowest degree first
+    conj = root
+    while True:
+        coeffs = [0] + coeffs
+        for i in range(len(coeffs) - 1):
+            coeffs[i] ^= _mul_mod(coeffs[i + 1], conj, mod)
+        conj = _mul_mod(conj, conj, mod)
+        if conj == root:
+            break
+    assert all(c <= 1 for c in coeffs), "conjugate product left GF(2)"
+    return Gf2Poly(sum(c << i for i, c in enumerate(coeffs)))
 
 
 def run_recurrence(charpoly: Gf2Poly, seed: list[int], n: int) -> list[int]:
@@ -432,6 +449,33 @@ class TestMinPolyOfPower:
             e = rng.randrange(1, t.order)
             mp = min_poly_of_power(mod, e)
             assert t.power_sum([e * k % t.order for k in mp.exponents()]) is None
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_matches_conjugate_product(self, m):
+        # every exponent class, degenerate cosets and e = 0 mod 2^m - 1 included,
+        # on moduli with proper subfields (m = 4, 6, 8, 9, 10) as well
+        moduli = [p for p in map(Gf2Poly, range(1 << m, 2 << m)) if is_primitive(p)][:3]
+        for modulus in moduli:
+            for e in range(-3, (1 << m) + 3):
+                assert min_poly_of_power(modulus, e) == conjugate_product_min_poly(modulus, e)
+
+    def test_large_degree_root_and_coset_size(self):
+        rng = random.Random(61)
+        for _ in range(12):
+            m = rng.randrange(11, 65)
+            modulus = Gf2Poly(1 << m | rng.getrandbits(m) | 1)
+            while not is_primitive(modulus):
+                modulus = Gf2Poly(1 << m | rng.getrandbits(m) | 1)
+            order, mod = (1 << m) - 1, modulus.mask
+            for e in (rng.randrange(order), order // 3, order // 7 * 5, 0):
+                mp = min_poly_of_power(modulus, e)
+                coset = {e * (1 << i) % order for i in range(m)}
+                assert mp.degree == len(coset)
+                root = _pow_mod(0b10, e, mod)
+                value = 0
+                for k in mp.exponents():
+                    value ^= _pow_mod(root, k, mod)
+                assert value == 0
 
 
 class TestBerlekampMassey:
