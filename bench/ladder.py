@@ -18,8 +18,9 @@ One run times each layer the attack goes through, called on its own in
 - min_poly: `min_poly_of_power` of the coset exponent
 - field: `FieldTable.build`
 - phase1, phase2: `phase1_reconstruct`, `phase2_search`
-- regeneration: the full-period keystream the attack reports
-- full_attack: the whole attack, in the same process
+- regeneration: the full-period keystream the attack reports, which
+  `AttackResult.keystream` regenerates each time it is read
+- full_attack: the whole attack, in the same process, with its report unread
 
 Rungs with l2 above the field cap (gf2.MAX_FIELD_DEGREE) time linearize
 and min_poly only, since neither builds a field: the attack refuses them,
@@ -55,6 +56,8 @@ RUNGS = (
     (5, 21, 1),
     (4, 23, 0),
     (10, 11, 0),
+    (11, 13, 0),
+    (12, 13, 0),
     (3, 29, 0),
     (3, 31, 0),
     (3, 61, 0),

@@ -362,13 +362,22 @@ def phase2_search(known: KnownBits, spec: GeneratorSpec, table: FieldTable) -> P
 
 @dataclass(frozen=True)
 class AttackResult:
+    """Recovered seeds, what each phase did, and the public spec they belong to."""
+
     is1: tuple[int, ...]
     is2: tuple[int, ...]
-    keystream: BitSeq
     reconstructed_positions: tuple[int, ...]
     nodes_expanded: int
     phase1_records: tuple[Phase1Record, ...]
     phase2_records: tuple[HypothesisRecord, ...]
+    spec: GeneratorSpec
+
+    @property
+    def keystream(self) -> BitSeq:
+        """One full keystream period from the recovered seeds, regenerated on each read."""
+        spec = self.spec.with_seeds(self.is1, self.is2)
+        generate = ccsg_generate if spec.taps else shrink_generate
+        return generate(spec, ((1 << spec.l2) - 1) << (spec.l1 - 1))
 
 
 def full_attack(intercepted: BitSeq, spec: GeneratorSpec) -> AttackResult:
@@ -376,7 +385,8 @@ def full_attack(intercepted: BitSeq, spec: GeneratorSpec) -> AttackResult:
 
     Raises Exhausted when nothing fits (e.g. tampered material),
     Ambiguous when several seed pairs fit, ConflictingReconstruction when
-    phase 1 derives contradictory bits.
+    phase 1 derives contradictory bits.  The result's keystream is not
+    built here: reading it regenerates the period.
     """
     d = 1 << (spec.l1 - 1)
     if len(intercepted) < d:
@@ -395,14 +405,12 @@ def full_attack(intercepted: BitSeq, spec: GeneratorSpec) -> AttackResult:
     if len(verified) > 1:
         raise Ambiguous(verified, result.nodes_expanded)
     is1, is2 = verified[0]
-    period = d * table.order
-    keystream = generate(spec.with_seeds(is1, is2), period)
     return AttackResult(
         is1=is1,
         is2=is2,
-        keystream=keystream,
         reconstructed_positions=known.positions("reconstructed"),
         nodes_expanded=result.nodes_expanded,
         phase1_records=p1records,
         phase2_records=result.records,
+        spec=spec,
     )

@@ -64,13 +64,13 @@ def _required_bits(data: dict, key: str) -> tuple[int, ...]:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     data = _load_json(args.spec)
-    total = args.origin + args.bits
+    skip = args.origin
     if args.kind == "lfsr":
         reg = LfsrState(_json_poly(data, "c1", _json_int(data, "l1")), _required_bits(data, "is1"))
-        bits = lfsr_generate(reg, total)
+        bits = lfsr_generate(reg, skip + args.bits)
     elif args.kind == "ca":
         rules = RuleVector(_required_bits(data, "rules"))
-        bits = ca_generate(CaState(rules, _required_bits(data, "cells")), total)[0]
+        bits = ca_generate(CaState(rules, _required_bits(data, "cells")), skip + args.bits)[0]
     else:
         spec = GeneratorSpec.from_json(data)
         if args.kind == "shrink" and spec.taps:
@@ -78,8 +78,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         if args.kind == "ccsg" and not spec.taps:
             raise ValueError("spec has no clock taps; use --kind shrink")
         gen = shrink_generate if args.kind == "shrink" else ccsg_generate
-        bits = gen(spec, total)
-    _emit(str(bits)[args.origin :] + "\n", args.output)
+        bits, skip = gen(spec, args.bits, origin=args.origin), 0
+    _emit(str(bits)[skip:] + "\n", args.output)
     return 0
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from itertools import accumulate, compress
 from typing import Iterator, Sequence
 
-from .engines import BitSeq, ZeroSeed, lfsr_bit_iter, lfsr_bytes
-from .gf2 import Gf2Poly, NonPrimitiveModulus, is_primitive
+from .engines import BitSeq, ZeroSeed, _seed_to_int, lfsr_bit_iter, lfsr_bytes
+from .gf2 import Gf2Poly, NonPrimitiveModulus, _pow_mod, is_primitive
 
 __all__ = [
     "GeneratorSpec",
@@ -203,62 +203,125 @@ def clock_advances(a: Sequence[int], taps: Sequence[int]) -> list[int]:
     return list(accumulate(steps, initial=0))
 
 
-def _interleave(spec: GeneratorSpec, n: int) -> BitSeq:
-    """First n keystream bits, one interleaving column at a time.
+# A jump to SR2's state at an origin costs one x^J mod c2, about 0.2 ms at
+# l2 = 31, where lfsr_bytes makes SR2 bits at about 6 ns each; so a jump is
+# taken only when it saves more SR2 bits than this, twice its cost there.
+_JUMP_BITS = 1 << 16
+
+
+def _sr2_seed_at(spec: GeneratorSpec, step: int) -> tuple[int, ...]:
+    """SR2's state after `step` advances: s_(step + i) = <x^(step + i) mod c2, is2>."""
+    assert spec.is2 is not None
+    mod, top, seed = spec.c2.mask, 1 << spec.l2, _seed_to_int(spec.is2)
+    r = _pow_mod(2, step, mod)
+    state = []
+    for _ in range(spec.l2):
+        state.append((r & seed).bit_count() & 1)
+        r <<= 1
+        if r & top:
+            r ^= mod
+    return tuple(state)
+
+
+def _walk(buf: bytes, start: int, stride: int, count: int) -> bytes:
+    """buf[(start + k * stride) % len(buf)] for k < count, one slice per wrap."""
+    parts = []
+    while count:
+        part = buf[start : start + count * stride : stride]
+        parts.append(part)
+        count -= len(part)
+        start += len(part) * stride - len(buf)
+    return b"".join(parts)
+
+
+def _interleave(spec: GeneratorSpec, n: int, origin: int = 0) -> BitSeq:
+    """Keystream bits origin .. origin + n - 1, one interleaving column at a time.
 
     Over one SR1 period of N1 = 2^l1 - 1 steps the d = 2^(l1-1) ones of
     SR1 fall where SR2 has advanced off_0 < ... < off_(d-1) positions, and
-    the whole period advances SR2 by S.  Column c of the keystream, bits
-    c, c + d, c + 2d, ..., is therefore SR2's PN sequence read from off_c
-    with stride S, modulo SR2's period 2^l2 - 1.  Only the SR2 bits the
-    columns reach are generated, at most one period.
+    the whole period advances SR2 by S.  Keystream bit q * d + c is
+    therefore SR2's bit at step off_c + q * S, modulo SR2's period
+    P = 2^l2 - 1: column c is SR2's PN sequence read from off_c with
+    stride S.  Bits repeat with period d * P, so the origin is taken
+    modulo that, and the window covers rows q0 .. q1 of the columns.
+
+    A window that starts at row q0 > 0 starts SR2 at step J = q0 * S mod P,
+    from the seed x^J mod c2 applied to is2, when that jump saves more
+    than _JUMP_BITS SR2 bits; otherwise SR2 runs from is2 over the rows it
+    skips.  A window whose column reads stay inside one SR2 period is one
+    strided slice per column.  Past one period, with g = gcd(S, P), the
+    columns are rotations of the decimated columns
+    v_rho[k] = sr2[(rho + k * S) mod P], one per residue rho mod g, each of
+    period P / g and built by one strided walk of one SR2 period: column c
+    starting at SR2 step t is v_rho rotated by
+    ((t - rho) / g) * (S / g)^-1 mod P / g, rho = t mod g.  S / g is
+    invertible mod P / g, since a prime dividing both would divide g once
+    more.  g is 1 whenever the attack's model applies.
 
     SR1 is read only as far as the request needs: an m-sequence has no run
-    of l1 zeros, so n * l1 bits hold the first n ones.  Below a full period
-    there are then at least n columns, one row, and the stride goes unused.
+    of l1 zeros, so k * l1 bits hold its first k ones, and a window inside
+    row 0 needs only the ones up to its last column.
     """
     if n < 0:
         raise ValueError("bit count must be nonnegative")
+    if origin < 0:
+        raise ValueError("origin must be nonnegative")
     _require_seeds(spec)
     assert spec.is1 is not None and spec.is2 is not None
-    span = min((1 << spec.l1) - 1, max(n, 1) * spec.l1)
+    if not n:
+        return BitSeq(b"", origin)
+    d, period, nper = 1 << (spec.l1 - 1), (1 << spec.l2) - 1, (1 << spec.l1) - 1
+    first, col = divmod(origin % (d * period), d)
+    rows = (col + n - 1) // d + 1
+    width = d if rows > 1 else col + n
+    span = nper if first or rows > 1 else min(nper, width * spec.l1)
     a = lfsr_bytes(spec.c1, spec.is1, span + spec.l1)
     adv = clock_advances(a, spec.taps)
-    offsets, advance = list(compress(adv, a[:span])), adv[span]
-    d = len(offsets)
-    rows = -(-n // d)
-    if not rows:
-        return BitSeq(b"")
-    period = (1 << spec.l2) - 1
-    size = min(offsets[-1] + (rows - 1) * advance + 1, period)
-    sr2 = lfsr_bytes(spec.c2, spec.is2, size)
-    # only a full-period buffer is ever read past its end, so wrapping is exact
-    stride = advance % period or period
-    out = bytearray(rows * d)
-    for c, off in enumerate(offsets):
-        parts, left, start = [], rows, off % period
-        while left:
-            part = sr2[start : start + left * stride : stride]
-            parts.append(part)
-            left -= len(part)
-            start += len(part) * stride - period
-        out[c::d] = b"".join(parts)
-    del out[n:]
-    return BitSeq(out)
+    offsets, advance = list(compress(adv, a[:span]))[:width], adv[span]
+    seed, skip = spec.is2, first * advance
+    last = offsets[-1] + (rows - 1) * advance
+    if min(skip + last + 1, period) - min(last + 1, period) > _JUMP_BITS:
+        seed, skip = _sr2_seed_at(spec, skip % period), 0
+    out = bytearray(rows * width)
+    if skip + last < period:
+        sr2 = lfsr_bytes(spec.c2, seed, skip + last + 1)
+        for c, off in enumerate(offsets):
+            out[c::width] = sr2[skip + off :: advance]
+    else:
+        sr2 = lfsr_bytes(spec.c2, seed, period)
+        stride = advance % period
+        g = math.gcd(stride, period)
+        length = period // g
+        inv = pow(stride // g, -1, length)
+        doubled: dict[int, memoryview] = {}
+        for c, off in enumerate(offsets):
+            start = (skip + off) % period
+            rho = start % g
+            if rho not in doubled:
+                column = _walk(sr2, rho, stride or period, length)
+                doubled[rho] = memoryview(column + column)
+            shift = (start - rho) // g * inv % length
+            if rows <= length:
+                out[c::width] = doubled[rho][shift : shift + rows]
+            else:
+                run = doubled[rho][shift : shift + length].tobytes()
+                out[c::width] = run * (rows // length) + run[: rows % length]
+    del out[col + n :], out[:col]
+    return BitSeq(out, origin)
 
 
-def shrink_generate(spec: GeneratorSpec, n: int) -> BitSeq:
-    """Plain shrinking generator keystream (taps must be empty)."""
+def shrink_generate(spec: GeneratorSpec, n: int, origin: int = 0) -> BitSeq:
+    """Plain shrinking generator keystream, bits origin .. origin + n - 1 (taps must be empty)."""
     if spec.taps:
         raise ValueError("shrink_generate needs an untapped spec; use ccsg_generate")
-    return _interleave(spec, n)
+    return _interleave(spec, n, origin)
 
 
-def ccsg_generate(spec: GeneratorSpec, n: int) -> BitSeq:
-    """Clock-controlled shrinking generator keystream (taps must be nonempty)."""
+def ccsg_generate(spec: GeneratorSpec, n: int, origin: int = 0) -> BitSeq:
+    """Clock-controlled shrinking generator keystream, bits origin .. origin + n - 1 (taps nonempty)."""
     if not spec.taps:
         raise ValueError("ccsg_generate needs at least one tap; use shrink_generate")
-    return _interleave(spec, n)
+    return _interleave(spec, n, origin)
 
 
 def decimated_stream(spec: GeneratorSpec, n: int) -> BitSeq:

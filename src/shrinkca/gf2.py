@@ -4,7 +4,7 @@ Polynomials live in plain ints, one bit per degree: bit k holds the
 coefficient of x^k, so 0b100101 is 1 + x^2 + x^5.  The canonical text form
 is the comma-separated exponent list ("0,2,5").  Everything here is exact,
 desk-scale algebra.  FieldTable keeps no table of 2^m entries; it
-is refused above degree MAX_FIELD_DEGREE = 24, where the attack's
+is refused above degree MAX_FIELD_DEGREE = 24, where the CLI attack's
 full-period report of 2^m bits per column becomes the wall.
 """
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -369,6 +370,24 @@ class TestFullAttack:
         # attack must run from the public part alone
         res = full_attack(BitSeq.parse(INTERCEPT), public_spec())
         assert res.is1 is not None
+
+
+class TestLazyReport:
+    def test_full_attack_holds_no_period(self):
+        # the (6, 17) period is 32 * (2^17 - 1) bits, 4 MiB at a byte a bit
+        pub = GeneratorSpec(6, 17, Gf2Poly.parse("0,1,6"), Gf2Poly.parse("0,3,17"))
+        truth = pub.with_seeds((1, 0, 1, 1, 0, 1), (0, 1, 1, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 0, 1, 1, 1))
+        period = 32 * ((1 << 17) - 1)
+        intercepted = shrink_generate(truth, 96)
+        tracemalloc.start()
+        try:
+            res = full_attack(intercepted, pub)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.is1, res.is2) == (truth.is1, truth.is2)
+        assert peak < period
+        assert res.keystream == shrink_generate(truth, period)
 
 
 class TestRandomizedSoundness:

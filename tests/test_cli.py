@@ -2,11 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from itertools import islice
 
 import pytest
 
 import shrinkca
 from shrinkca.cli import _build_parser, main
+from shrinkca.generators import GeneratorSpec, _clocked_steps
+from shrinkca.gf2 import _pow_mod
+from shrinkca.linearize import MAX_CELLS
 
 EXAMPLE1 = {"l1": 3, "l2": 4, "c1": "0,2,3", "c2": "0,1,4", "is1": "100", "is2": "1000"}
 EXAMPLE2 = dict(EXAMPLE1, taps=[0])
@@ -483,3 +487,63 @@ class TestTooLargeForMemory:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+
+def _run_capped(tmp_path, data: dict, argv: list[str]) -> subprocess.CompletedProcess:
+    """The CLI in a child process under a 512 MiB address space."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(shrinkca.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "shrinkca", *argv, "--spec", str(path)],
+        env=env,
+        preexec_fn=_cap_address_space,
+        capture_output=True,
+        text=True,
+    )
+
+
+def keystream_at(spec: GeneratorSpec, positions: list[int]) -> str:
+    """Bits at absolute positions, by jump-ahead over one SR1 period of the step machine.
+
+    Bit q * d + c is SR2's bit at step q * S + off_c, with off_c SR2's
+    advance at SR1's c-th one and S its advance over the whole period;
+    SR2's bit at step t is <x^t mod c2, is2>.
+    """
+    offsets, advance = [], 0
+    for a, _, x in islice(_clocked_steps(spec), (1 << spec.l1) - 1):
+        if a:
+            offsets.append(advance)
+        advance += x
+    seed = sum(bit << k for k, bit in enumerate(spec.is2))
+    bits = []
+    for p in positions:
+        q, c = divmod(p, len(offsets))
+        t = (q * advance + offsets[c]) % ((1 << spec.l2) - 1)
+        bits.append(str((_pow_mod(2, t, spec.c2.mask) & seed).bit_count() & 1))
+    return "".join(bits)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+class TestCostFollowsOutput:
+    def test_linearize_refused_by_the_cell_cap(self, tmp_path):
+        proc = _run_capped(tmp_path, PUBLIC_L1_33, ["linearize"])
+        assert proc.returncode == 2
+        assert f"{35 << 32} cells" in proc.stderr and f"MAX_CELLS = {MAX_CELLS}" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_generate_far_origin_jumps(self, tmp_path):
+        # the keystream period at (4, 23) is 8 * (2^23 - 1) bits; skipping
+        # 2^40 of them one by one would not fit in the child's address space
+        data = {
+            "l1": 4, "l2": 23, "c1": "0,1,4", "c2": "0,5,23",
+            "is1": "1011", "is2": "10110011100011110000111",
+        }
+        origin = 1 << 40
+        proc = _run_capped(
+            tmp_path, data, ["generate", "--kind", "shrink", "--bits", "64", "--origin", str(origin)]
+        )
+        assert proc.returncode == 0, proc.stderr
+        period = 8 * ((1 << 23) - 1)
+        window = [(origin + i) % period for i in range(64)]
+        assert proc.stdout == keystream_at(GeneratorSpec.from_json(data), window) + "\n"

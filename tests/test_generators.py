@@ -12,6 +12,7 @@ from itertools import accumulate, islice
 import pytest
 
 import shrinkca
+from shrinkca import generators
 from shrinkca.engines import ZeroSeed, lfsr_bit_iter
 from shrinkca.gf2 import Gf2Poly, NonPrimitiveModulus, berlekamp_massey, is_primitive
 from shrinkca.generators import (
@@ -24,6 +25,7 @@ from shrinkca.generators import (
     shrink_generate,
     shrunken_stats,
 )
+from shrinkca.linearize import coset_exponent
 
 
 def plain_spec() -> GeneratorSpec:
@@ -282,6 +284,71 @@ class TestEngineAgainstOracle:
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(shrinkca.__file__)))
         proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+def oracle_period(spec: GeneratorSpec) -> bytes:
+    """One keystream period, d * (2^l2 - 1) bits, from the bit-serial step machine."""
+    kept = (bprime for a, bprime, _ in _clocked_steps(spec) if a)
+    return bytes(islice(kept, shrunken_stats(spec.l1, spec.l2).period))
+
+
+def assert_windows(spec: GeneratorSpec, rng: random.Random, count: int) -> None:
+    """Random windows (origin, n), n up to 3 periods, origins in [0, 3 periods)."""
+    truth = oracle_period(spec)
+    period = len(truth)
+    for _ in range(count):
+        n = rng.choice((0, 1, rng.randrange(1, 4 << spec.l1), rng.randrange(3 * period + 1)))
+        origin = rng.choice((0, rng.randrange(2 << spec.l1), rng.randrange(3 * period)))
+        window = bytes(truth[(origin + i) % period] for i in range(n))
+        z = engine_window(spec, n, origin)
+        assert (z.raw, z.origin) == (window, origin), (spec, n, origin)
+
+
+def engine_window(spec: GeneratorSpec, n: int, origin: int):
+    return (ccsg_generate if spec.taps else shrink_generate)(spec, n, origin=origin)
+
+
+# SR2 advance S per SR1 period sharing a factor g with 2^l2 - 1: the columns
+# are then rotations of g decimated columns of (2^l2 - 1) / g bits each
+NON_INVERTIBLE = {(3, 4, 3): 5, (3, 10, 1): 11, (4, 11, 1): 23, (5, 12, 3): 13}
+
+
+class TestColumnModel:
+    """Windows at any origin against the bit-serial oracle, with and without
+    the jump to SR2's state at the window's first row."""
+
+    @pytest.fixture(params=["as configured", "always jump"])
+    def jump(self, request, monkeypatch):
+        if request.param == "always jump":
+            monkeypatch.setattr(generators, "_JUMP_BITS", -1)
+
+    def test_random_windows(self, jump):
+        rng = random.Random(1005)
+        shapes = [(l1, l2) for l1 in range(1, 6) for l2 in range(l1 + 1, 13) if math.gcd(l1, l2) == 1]
+        for l1, l2 in rng.sample(shapes, 16):
+            spec = random_spec(rng, l1, l2, rng.randrange(l1 + 1))
+            assert_windows(spec, rng, 30)
+
+    @pytest.mark.parametrize("shape", sorted(NON_INVERTIBLE))
+    def test_non_invertible_advance(self, jump, shape):
+        l1, l2, w = shape
+        assert math.gcd(coset_exponent(l1, w), (1 << l2) - 1) == NON_INVERTIBLE[shape]
+        spec = random_spec(random.Random(l1 * 100 + l2), l1, l2, w)
+        assert_windows(spec, random.Random(l2), 25)
+
+    @pytest.mark.parametrize("shape", [(4, 7, 0), (5, 9, 1), *sorted(NON_INVERTIBLE)])
+    def test_one_walk_per_residue(self, shape, monkeypatch):
+        residues, walk = [], generators._walk
+
+        def counted(buf, start, stride, count):
+            residues.append(start)
+            return walk(buf, start, stride, count)
+
+        monkeypatch.setattr(generators, "_walk", counted)
+        spec = random_spec(random.Random(sum(shape)), *shape)
+        z = engine_window(spec, 3 * shrunken_stats(spec.l1, spec.l2).period, 5)
+        assert z.raw[:64] == bytes(oracle_keystream(spec, 69)[5:])
+        assert 1 <= len(residues) == len(set(residues)) <= NON_INVERTIBLE.get(shape, 1)
 
 
 class TestClockAdvances:

@@ -242,6 +242,14 @@ class TestLinearizeGenerator:
         with pytest.raises(DegenerateCoset):
             linearize_generator(3, Gf2Poly.parse("0,1,4"), 3)
 
+    def test_cell_cap(self):
+        # 19 * 2^16 cells is above the cap; it is refused before any algebra
+        assert 19 << 16 > linearize.MAX_CELLS >= 13 << 11
+        with pytest.raises(ValueError, match=f"{19 << 16} cells .* MAX_CELLS = {linearize.MAX_CELLS}"):
+            linearize_generator(17, Gf2Poly.parse("0,1,2,5,19"))
+        # the ladder's largest rung, (12, 13), stays within it
+        assert [len(rv) for rv in linearize_generator(12, Gf2Poly.parse("0,1,3,4,13"))] == [13 << 11] * 2
+
     @pytest.mark.parametrize("c2", ["0,3,31", "0,1,2,5,61"])
     def test_large_register_within_a_second(self, c2):
         c2 = Gf2Poly.parse(c2)
