@@ -50,6 +50,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 RUNGS = (
     (5, 11, 0),
+    (8, 9, 0),
+    (7, 11, 1),
     (7, 15, 0),
     (6, 17, 0),
     (4, 19, 0),

@@ -14,8 +14,12 @@ Phase 2 recovers the seeds.  Hypotheses on SR1 place the 1s of its output
 period, which fixes each column's shift against column 0; a hypothesis
 survives if its column bits match column 0 directly (stage one) and stay
 consistent when merged into a GF(2) linear system over the column-0 seed
-(stage two).  Survivors are completed to SR2 seeds by solving that system
-at the decimation-inverse rows, then verified by regeneration.
+(stage two).  Stage two eliminates only while that system is
+underdetermined: once l2 independent bits fix the seed, each further bit
+is one inner product to check.  SR1 is primitive, so every hypothesis's
+output is a window of one m-sequence period, built once per attack.
+Survivors are completed to SR2 seeds by solving that system at the
+decimation-inverse rows, then verified by regeneration.
 """
 
 from __future__ import annotations
@@ -180,8 +184,9 @@ def phase1_reconstruct(
     r = len(intercepted)
     if r < 1 or r > period:
         raise ValueError(f"intercepted length must be in [1, {period}]")
+    raw = intercepted.raw
     known = KnownBits(period)
-    for p, bit in enumerate(intercepted):
+    for p, bit in enumerate(raw):
         known.add(p, bit, "intercepted")
     records = []
     for ca_idx, rv in enumerate(ca_pair):
@@ -213,7 +218,7 @@ def phase1_reconstruct(
                 for t in range(r - offsets[-1]):
                     value = 0
                     for o in offsets:
-                        value ^= intercepted[t + o]
+                        value ^= raw[t + o]
                     pos = (t + offsets[0] + d * shift) % period
                     if known.add(pos, value, "reconstructed"):
                         produced.append(pos)
@@ -260,6 +265,19 @@ class Phase2Result:
     records: tuple[HypothesisRecord, ...]
 
 
+def _sr1_ring(c1: Gf2Poly) -> tuple[bytes, dict[bytes, int]]:
+    """2 N1 + l1 output bits of SR1, N1 = 2^l1 - 1, and each l1-bit window's offset.
+
+    c1 is primitive, so every nonzero seed is one window of the period:
+    seed s starts at i = offsets[bytes(s)], and ring[i : i + N1 + l1] is
+    lfsr_bytes(c1, s, N1 + l1).
+    """
+    l1 = c1.degree
+    nper = (1 << l1) - 1
+    ring = lfsr_bytes(c1, (1,) + (0,) * (l1 - 1), 2 * nper + l1)
+    return ring, {ring[i : i + l1]: i for i in range(nper)}
+
+
 def phase2_search(known: KnownBits, spec: GeneratorSpec, table: FieldTable) -> Phase2Result:
     """Depth-first SR1 hypothesis search with column-consistency pruning.
 
@@ -273,6 +291,7 @@ def phase2_search(known: KnownBits, spec: GeneratorSpec, table: FieldTable) -> P
     nper = (1 << l1) - 1
     jrows = is2_bit_positions(l1, l2, coset_exponent(l1, len(spec.taps)))
     inv = jrows[1]
+    ring, ring_at = _sr1_ring(spec.c1)
 
     cols = known.columns(d)
     base_rows = cols[0]
@@ -327,7 +346,8 @@ def phase2_search(known: KnownBits, spec: GeneratorSpec, table: FieldTable) -> P
         nonlocal nodes
         nodes += 1
         is1 = tuple(a_bits)
-        sys2, ncol = flush(lfsr_bytes(spec.c1, is1, nper + l1), sys, next_col, is1)
+        at = ring_at[bytes(a_bits)]
+        sys2, ncol = flush(ring[at : at + nper + l1], sys, next_col, is1)
         if sys2 is None:
             return
         assert ncol == d

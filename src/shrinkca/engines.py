@@ -62,11 +62,21 @@ class BitSeq:
         raise AttributeError("BitSeq is immutable")
 
     @classmethod
+    def _adopt(cls, raw: bytes, origin: int) -> "BitSeq":
+        """Wrap 0/1 bytes that are already checked, with no copy and no scan."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "_raw", raw)
+        object.__setattr__(seq, "origin", origin)
+        return seq
+
+    @classmethod
     def parse(cls, text: str, origin: int = 0) -> "BitSeq":
         raw = text.strip().encode("ascii", "replace")
         if raw.translate(None, b"01"):
             raise ValueError(f"not a bit string: {text!r}")
-        return cls(raw.translate(_VALUES), origin)
+        if origin < 0:
+            raise ValueError("origin must be nonnegative")
+        return cls._adopt(raw.translate(_VALUES), origin)
 
     @property
     def raw(self) -> bytes:

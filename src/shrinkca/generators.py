@@ -307,7 +307,7 @@ def _interleave(spec: GeneratorSpec, n: int, origin: int = 0) -> BitSeq:
                 run = doubled[rho][shift : shift + length].tobytes()
                 out[c::width] = run * (rows // length) + run[: rows % length]
     del out[col + n :], out[:col]
-    return BitSeq(out, origin)
+    return BitSeq._adopt(bytes(out), origin)
 
 
 def shrink_generate(spec: GeneratorSpec, n: int, origin: int = 0) -> BitSeq:

@@ -562,16 +562,20 @@ class Gf2LinearSystem:
 
     Rows are augmented masks: bits 0..n-1 are coefficients, bit n the
     right-hand side.  Kept fully reduced so membership and consistency
-    queries are single sweeps.
+    queries are single sweeps.  At rank n every row is e_p plus its
+    right-hand side, so the unique solution is read off once and a
+    determined system answers each further equation by evaluating it.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.rows: dict[int, int] = {}
+        self._solution: int | None = None
 
     def copy(self) -> "Gf2LinearSystem":
         dup = Gf2LinearSystem(self.n)
         dup.rows = dict(self.rows)
+        dup._solution = self._solution
         return dup
 
     @property
@@ -593,6 +597,8 @@ class Gf2LinearSystem:
 
     def add(self, vec: int, rhs: int) -> bool:
         """Add equation vec . s = rhs; False means it contradicts the system."""
+        if self._solution is not None:
+            return (vec & self._solution).bit_count() & 1 == rhs & 1
         aug = self._reduce(vec | (rhs & 1) << self.n)
         v = aug & ((1 << self.n) - 1)
         if v == 0:
@@ -602,6 +608,8 @@ class Gf2LinearSystem:
             if row >> piv & 1:
                 self.rows[p] = row ^ aug
         self.rows[piv] = aug
+        if len(self.rows) == self.n:
+            self._solution = sum((row >> self.n & 1) << p for p, row in self.rows.items())
         return True
 
     def solutions(self) -> Iterator[int]:

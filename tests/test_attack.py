@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -12,14 +13,15 @@ from shrinkca.attack import (
     KnownBits,
     NonInvertible,
     Phase1Record,
+    _sr1_ring,
     full_attack,
     is2_bit_positions,
     phase1_reconstruct,
     phase2_search,
     subtriangle_expressions,
 )
-from shrinkca.engines import BitSeq
-from shrinkca.gf2 import FieldTable, Gf2Poly, min_poly_of_power
+from shrinkca.engines import BitSeq, lfsr_bytes
+from shrinkca.gf2 import FieldTable, Gf2Poly, is_primitive, min_poly_of_power
 from shrinkca.generators import GeneratorSpec, _clocked_steps, ccsg_generate, shrink_generate
 from shrinkca.linearize import DegenerateCoset, coset_exponent, linearize_generator
 
@@ -298,6 +300,23 @@ class TestPhase2:
         assert a.records == b.records
 
 
+class TestSr1Ring:
+    @pytest.mark.parametrize("l1", range(1, 9))
+    def test_windows_are_lfsr_outputs(self, l1):
+        polys = [
+            p
+            for p in (Gf2Poly(1 << l1 | mask) for mask in range(1, 1 << l1, 2))
+            if is_primitive(p)
+        ][:3]
+        nper = (1 << l1) - 1
+        for c1 in polys:
+            ring, offsets = _sr1_ring(c1)
+            assert len(offsets) == nper
+            for seed in nonzero_seeds(l1):
+                at = offsets[bytes(seed)]
+                assert ring[at : at + nper + l1] == lfsr_bytes(c1, seed, nper + l1), (c1, seed)
+
+
 class TestFullAttack:
     def test_golden_instance(self):
         res = full_attack(BitSeq.parse(INTERCEPT), public_spec())
@@ -357,6 +376,24 @@ class TestFullAttack:
         for is1, is2 in cands:
             regen = shrink_generate(pub.with_seeds(is1, is2), 2)
             assert list(regen) == list(z)[:2]
+
+    def test_intercept_too_short_to_decide(self):
+        # an attack-period benchmark instance (seed 128, cycle 39): the two
+        # pairs agree on the first 43 keystream bits, so no attack can tell
+        # them apart from these 38
+        pub = GeneratorSpec.from_json(
+            {"l1": 3, "l2": 16, "c1": "0,1,3", "c2": "0,2,5,6,8,9,13,14,16", "taps": []}
+        )
+        intercept = BitSeq.parse("01101011110100010100110110100101111100")
+        planted = (bit_tuple("111"), bit_tuple("0110100101111111"))
+        other = (bit_tuple("110"), bit_tuple("0110100101111111"))
+        with pytest.raises(Ambiguous) as exc:
+            full_attack(intercept, pub)
+        assert exc.value.candidates == [planted, other]
+        period = 4 * ((1 << 16) - 1)
+        a, b = (shrink_generate(pub.with_seeds(*pair), period).raw for pair in (planted, other))
+        assert a[:38] == b[:38] == intercept.raw
+        assert next(i for i, (x, y) in enumerate(zip(a, b)) if x != y) == 43
 
     def test_intercept_must_cover_one_column_block(self):
         with pytest.raises(ValueError):
@@ -496,6 +533,40 @@ class TestPhase2Pinned:
         assert record_lines(result.records) == [
             line.strip() for line in records.replace("\n", "|").split("|") if line.strip()
         ]
+
+
+# (l1, l2, c1, c2, taps, is1, is2, nodes, record count, sha256 of the record
+# lines): the attack-search benchmark's five public specs, each attacked on
+# one planted pair through the first max(3 d, 2 (l1 + l2)) bits; columns past
+# the column-0 seed's l2 independent bits are checked by evaluation
+PINNED_SEARCH = [
+    (7, 9, "0,3,7", "0,1,4,5,6,8,9", (4,), "1011110", "110011110", 64, 240, "95ccf974955df925"),
+    (7, 10, "0,1,2,3,7", "0,7,10", (), "1110110", "0101011001", 38, 149, "8655d74efc21860c"),
+    (7, 11, "0,1,2,3,5,6,7", "0,2,3,4,5,8,11", (3,), "1110100", "11111110010", 58, 232,
+     "4c8ef865141d6c5f"),
+    (8, 9, "0,1,2,3,6,7,8", "0,1,2,3,6,7,9", (), "10010101", "100101101", 20, 180,
+     "beafbb9d140b2f8c"),
+    (8, 11, "0,1,2,7,8", "0,4,5,8,9,10,11", (), "10111100", "10100000001", 72, 281,
+     "878b0322b6b66a82"),
+]
+
+
+class TestPhase2Search:
+    @pytest.mark.parametrize("l1,l2,c1,c2,taps,is1,is2,nodes,count,digest", PINNED_SEARCH)
+    def test_search_specs(self, l1, l2, c1, c2, taps, is1, is2, nodes, count, digest):
+        pub = GeneratorSpec(l1, l2, Gf2Poly.parse(c1), Gf2Poly.parse(c2), taps=taps)
+        gen = ccsg_generate if taps else shrink_generate
+        planted = (bit_tuple(is1), bit_tuple(is2))
+        z = gen(pub.with_seeds(*planted), max(3 << (l1 - 1), 2 * (l1 + l2)))
+        table = FieldTable.build(min_poly_of_power(pub.c2, coset_exponent(l1, len(taps))))
+        pair = linearize_generator(l1, pub.c2, len(taps))
+        known, _ = phase1_reconstruct(z, pair, l1, table)
+        result = phase2_search(known, pub, table)
+        assert result.candidates == [planted]
+        assert result.nodes_expanded == nodes
+        lines = record_lines(result.records)
+        assert len(lines) == count
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == digest
 
 
 def oracle_prefix(spec: GeneratorSpec, n: int) -> bytes:

@@ -69,6 +69,8 @@ class TestBitSeq:
     def test_rejects_negative_origin(self):
         with pytest.raises(ValueError):
             BitSeq((1, 0), origin=-1)
+        with pytest.raises(ValueError):
+            BitSeq.parse("10", origin=-1)
 
     def test_any_bit_sequence(self):
         want = BitSeq.parse("0110")

@@ -260,6 +260,20 @@ class TestEngineAgainstOracle:
         assert peak < 6 * period
         assert z[:256] == oracle_keystream(spec, 256)
 
+    def test_full_period_adopts_its_buffer(self):
+        # the engine's output buffer plus the one bytes copy the BitSeq
+        # keeps: no second copy and no scan for non-0/1 bytes
+        spec = random_spec(random.Random(617), 6, 17, 0)
+        period = shrunken_stats(6, 17).period
+        tracemalloc.start()
+        try:
+            z = shrink_generate(spec, period)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(z) == period
+        assert peak < 2.5 * period
+
     @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
     def test_short_request_reads_sr1_only_as_far_as_needed(self):
         # one SR1 period at l1 = 33 is 2^33 bytes, far above the child's

@@ -579,3 +579,45 @@ class TestLinearSystem:
                 rhs = (truth & vec).bit_count() & 1
                 assert s.add(vec, rhs)
             assert truth in set(s.solutions())
+
+    def test_against_brute_force(self):
+        """Every add's answer and the solution set match the assignments that
+        satisfy the equations so far, through rank n and past it, in copies
+        taken at rank n - 1 and n as well."""
+
+        def satisfies(x: int, vec: int, rhs: int) -> bool:
+            return (x & vec).bit_count() & 1 == rhs
+
+        def feed(s: Gf2LinearSystem, fits: list[int], eqs) -> list[int]:
+            for vec, rhs in eqs:
+                kept = [x for x in fits if satisfies(x, vec, rhs)]
+                assert s.add(vec, rhs) == bool(kept), (vec, rhs)
+                fits = kept or fits
+                sols = list(s.solutions())
+                assert len(sols) == len(set(sols))
+                assert sorted(sols) == fits
+            return fits
+
+        rng = random.Random(53)
+        for n in range(1, 11):
+            for _ in range(4):
+                truth = rng.randrange(1 << n)
+
+                def equation():
+                    vec = rng.randrange(1 << n)
+                    rhs = (truth & vec).bit_count() & 1
+                    return vec, rhs ^ (rng.random() < 0.3)
+
+                s = Gf2LinearSystem(n)
+                fits = list(range(1 << n))
+                copies = []
+                while s.rank < n:
+                    if s.rank == n - 1 and not copies:
+                        copies.append((s.copy(), fits))
+                    fits = feed(s, fits, [equation()])
+                copies.append((s.copy(), fits))
+                fits = feed(s, fits, [equation() for _ in range(3 * n)])
+                assert len(fits) == 1
+                for dup, dup_fits in copies:
+                    feed(dup, dup_fits, [equation() for _ in range(3 * n)])
+                assert sorted(s.solutions()) == fits
