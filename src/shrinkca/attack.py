@@ -30,7 +30,7 @@ from itertools import compress
 from typing import Sequence
 
 from .engines import BitSeq, lfsr_bytes
-from .generators import GeneratorSpec, ccsg_generate, clock_advances, shrink_generate
+from .generators import GeneratorSpec, _interleave, clock_advances
 from .gf2 import FieldTable, Gf2LinearSystem, Gf2Poly, RuleVector
 from .linearize import coset_exponent, linearize_model
 
@@ -396,8 +396,7 @@ class AttackResult:
     def keystream(self) -> BitSeq:
         """One full keystream period from the recovered seeds, regenerated on each read."""
         spec = self.spec.with_seeds(self.is1, self.is2)
-        generate = ccsg_generate if spec.taps else shrink_generate
-        return generate(spec, ((1 << spec.l2) - 1) << (spec.l1 - 1))
+        return _interleave(spec, ((1 << spec.l2) - 1) << (spec.l1 - 1))
 
 
 def full_attack(intercepted: BitSeq, spec: GeneratorSpec) -> AttackResult:
@@ -415,10 +414,9 @@ def full_attack(intercepted: BitSeq, spec: GeneratorSpec) -> AttackResult:
     table = FieldTable.build(model.base)
     known, p1records = phase1_reconstruct(intercepted, model.pair, spec.l1, table)
     result = phase2_search(known, spec, table)
-    generate = ccsg_generate if spec.taps else shrink_generate
     verified = []
     for is1, is2 in result.candidates:
-        if generate(spec.with_seeds(is1, is2), len(intercepted)).raw == intercepted.raw:
+        if _interleave(spec.with_seeds(is1, is2), len(intercepted)).raw == intercepted.raw:
             verified.append((is1, is2))
     if not verified:
         raise Exhausted("every surviving candidate failed regeneration")

@@ -212,7 +212,7 @@ def lfsr_bytes(charpoly: Gf2Poly, seed: Sequence[int], n: int) -> bytes:
 
 def lfsr_generate(reg: LfsrState, n: int) -> BitSeq:
     """First n output bits s_0, s_1, ..."""
-    return BitSeq(lfsr_bytes(reg.charpoly, reg.seed, n))
+    return BitSeq._adopt(lfsr_bytes(reg.charpoly, reg.seed, n), 0)
 
 
 @dataclass(frozen=True)
@@ -266,7 +266,7 @@ def decimate(seq: BitSeq, step: int, residue: int) -> BitSeq:
         raise ValueError("step must be positive")
     residue %= step
     first = seq.origin + (residue - seq.origin) % step
-    return BitSeq(seq.raw[first - seq.origin :: step], origin=(first - residue) // step)
+    return BitSeq._adopt(seq.raw[first - seq.origin :: step], (first - residue) // step)
 
 
 def _cell_basis_traces(rules: RuleVector, cell: int, steps: int) -> list[int]:
@@ -288,8 +288,10 @@ def _cell_basis_traces(rules: RuleVector, cell: int, steps: int) -> list[int]:
 def solve_cell_seed(rules: RuleVector, cell: int, target: Sequence[int]) -> CaState | None:
     """Lexicographically least seed whose given cell traces out `target`, or None.
 
-    Linearity makes this a GF(2) solve; the lexicographic choice greedily
-    pins cells left to right, preferring 0.
+    Linearity makes this a GF(2) solve.  The system is kept fully reduced
+    with each row's pivot its highest cell, so a pivot cell depends only on
+    free cells before it, and the solution with every free cell 0 is the
+    least one.
     """
     n = len(rules)
     rows = _cell_basis_traces(rules, cell, len(target))
@@ -299,11 +301,5 @@ def solve_cell_seed(rules: RuleVector, cell: int, target: Sequence[int]) -> CaSt
             raise ValueError("target bits must be 0 or 1")
         if not sys.add(row, bit):
             return None
-    for k in range(n):
-        probe = sys.copy()
-        if probe.add(1 << k, 0):
-            sys = probe
-        else:
-            sys.add(1 << k, 1)
     solution = next(sys.solutions())
     return CaState(rules, tuple(solution >> k & 1 for k in range(n)))

@@ -203,12 +203,6 @@ def clock_advances(a: Sequence[int], taps: Sequence[int]) -> list[int]:
     return list(accumulate(steps, initial=0))
 
 
-# A jump to SR2's state at an origin costs one x^J mod c2, about 0.2 ms at
-# l2 = 31, where lfsr_bytes makes SR2 bits at about 6 ns each; so a jump is
-# taken only when it saves more SR2 bits than this, twice its cost there.
-_JUMP_BITS = 1 << 16
-
-
 def _sr2_seed_at(spec: GeneratorSpec, step: int) -> tuple[int, ...]:
     """SR2's state after `step` advances: s_(step + i) = <x^(step + i) mod c2, is2>."""
     assert spec.is2 is not None
@@ -245,11 +239,11 @@ def _interleave(spec: GeneratorSpec, n: int, origin: int = 0) -> BitSeq:
     stride S.  Bits repeat with period d * P, so the origin is taken
     modulo that, and the window covers rows q0 .. q1 of the columns.
 
-    A window that starts at row q0 > 0 starts SR2 at step J = q0 * S mod P,
-    from the seed x^J mod c2 applied to is2, when that jump saves more
-    than _JUMP_BITS SR2 bits; otherwise SR2 runs from is2 over the rows it
-    skips.  A window whose column reads stay inside one SR2 period is one
-    strided slice per column.  Past one period, with g = gcd(S, P), the
+    SR2 starts at the window's first row q0, step J = q0 * S mod P, from
+    the seed x^J mod c2 applied to is2 (is2 itself when J = 0), so SR2 is
+    run over the window's own span only, never over the rows it skips.  A
+    window whose column reads stay inside one SR2 period is one strided
+    slice per column.  Past one period, with g = gcd(S, P), the
     columns are rotations of the decimated columns
     v_rho[k] = sr2[(rho + k * S) mod P], one per residue rho mod g, each of
     period P / g and built by one strided walk of one SR2 period: column c
@@ -278,15 +272,13 @@ def _interleave(spec: GeneratorSpec, n: int, origin: int = 0) -> BitSeq:
     a = lfsr_bytes(spec.c1, spec.is1, span + spec.l1)
     adv = clock_advances(a, spec.taps)
     offsets, advance = list(compress(adv, a[:span]))[:width], adv[span]
-    seed, skip = spec.is2, first * advance
+    seed = _sr2_seed_at(spec, first * advance % period)
     last = offsets[-1] + (rows - 1) * advance
-    if min(skip + last + 1, period) - min(last + 1, period) > _JUMP_BITS:
-        seed, skip = _sr2_seed_at(spec, skip % period), 0
     out = bytearray(rows * width)
-    if skip + last < period:
-        sr2 = lfsr_bytes(spec.c2, seed, skip + last + 1)
+    if last < period:
+        sr2 = lfsr_bytes(spec.c2, seed, last + 1)
         for c, off in enumerate(offsets):
-            out[c::width] = sr2[skip + off :: advance]
+            out[c::width] = sr2[off::advance]
     else:
         sr2 = lfsr_bytes(spec.c2, seed, period)
         stride = advance % period
@@ -295,7 +287,7 @@ def _interleave(spec: GeneratorSpec, n: int, origin: int = 0) -> BitSeq:
         inv = pow(stride // g, -1, length)
         doubled: dict[int, memoryview] = {}
         for c, off in enumerate(offsets):
-            start = (skip + off) % period
+            start = off % period
             rho = start % g
             if rho not in doubled:
                 column = _walk(sr2, rho, stride or period, length)

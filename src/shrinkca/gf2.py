@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -294,8 +294,13 @@ def is_irreducible(p: Gf2Poly) -> bool:
     return True
 
 
+@cache
 def is_primitive(p: Gf2Poly) -> bool:
-    """True when p is irreducible and x generates the full multiplicative group mod p."""
+    """True when p is irreducible and x generates the full multiplicative group mod p.
+
+    Cached: a spec, its seeded copies, its field table and its minimal
+    polynomials all ask about the same few polynomials.
+    """
     m = p.degree
     if m is None or m < 1:
         return False

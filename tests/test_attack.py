@@ -427,6 +427,19 @@ class TestLazyReport:
         assert res.keystream == shrink_generate(truth, period)
 
 
+class TestPrimalityProofs:
+    def test_one_proof_per_polynomial(self):
+        # c1, c2 and the base minpoly(lambda^E); the seeded copies that
+        # verification and the report build, and the field table, reuse them
+        is_primitive.cache_clear()
+        pub = GeneratorSpec(6, 17, Gf2Poly.parse("0,1,6"), Gf2Poly.parse("0,3,17"))
+        truth = pub.with_seeds((1, 0, 1, 1, 0, 1), (0, 1, 1, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 0, 1, 1, 1))
+        res = full_attack(shrink_generate(truth, 96), pub)
+        assert len(res.keystream) == 32 * ((1 << 17) - 1)
+        assert (res.is1, res.is2) == (truth.is1, truth.is2)
+        assert is_primitive.cache_info().misses <= 3
+
+
 class TestRandomizedSoundness:
     @pytest.mark.filterwarnings("ignore:tap count equals")
     def test_small_sweep(self):

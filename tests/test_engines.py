@@ -295,6 +295,23 @@ class TestSolveCellSeed:
                 regen = ca_generate(st, 2 * n)[cell - 1]
                 assert regen.bits == trace.bits
 
+    def test_least_seed_against_brute_force(self):
+        rng = random.Random(288)
+        for _ in range(60):
+            n = rng.randrange(1, 9)
+            rules = RuleVector(tuple(rng.randrange(2) for _ in range(n)))
+            cell = rng.randrange(1, n + 1)
+            target = tuple(rng.randrange(2) for _ in range(rng.randrange(2 * n + 1)))
+            # product() walks the seeds in lexicographic order
+            fits = (
+                seed
+                for seed in itertools.product((0, 1), repeat=n)
+                if ca_generate(CaState(rules, seed), len(target))[cell - 1].bits == target
+            )
+            least = next(fits, None)
+            st = solve_cell_seed(rules, cell, target)
+            assert (st and st.cells) == least, (rules, cell, target)
+
     def test_inconsistent_target_returns_none(self):
         rules = RuleVector.from_string("0111001110")
         assert solve_cell_seed(rules, 1, BitSeq.parse("1" * 25)) is None

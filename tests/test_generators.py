@@ -14,7 +14,7 @@ import pytest
 import shrinkca
 from shrinkca import generators
 from shrinkca.engines import ZeroSeed, lfsr_bit_iter
-from shrinkca.gf2 import Gf2Poly, NonPrimitiveModulus, berlekamp_massey, is_primitive
+from shrinkca.gf2 import Gf2Poly, NonPrimitiveModulus, _pow_mod, berlekamp_massey, is_primitive
 from shrinkca.generators import (
     GeneratorSpec,
     _clocked_steps,
@@ -328,15 +328,9 @@ NON_INVERTIBLE = {(3, 4, 3): 5, (3, 10, 1): 11, (4, 11, 1): 23, (5, 12, 3): 13}
 
 
 class TestColumnModel:
-    """Windows at any origin against the bit-serial oracle, with and without
-    the jump to SR2's state at the window's first row."""
+    """Windows at any origin against the bit-serial oracle."""
 
-    @pytest.fixture(params=["as configured", "always jump"])
-    def jump(self, request, monkeypatch):
-        if request.param == "always jump":
-            monkeypatch.setattr(generators, "_JUMP_BITS", -1)
-
-    def test_random_windows(self, jump):
+    def test_random_windows(self):
         rng = random.Random(1005)
         shapes = [(l1, l2) for l1 in range(1, 6) for l2 in range(l1 + 1, 13) if math.gcd(l1, l2) == 1]
         for l1, l2 in rng.sample(shapes, 16):
@@ -344,7 +338,7 @@ class TestColumnModel:
             assert_windows(spec, rng, 30)
 
     @pytest.mark.parametrize("shape", sorted(NON_INVERTIBLE))
-    def test_non_invertible_advance(self, jump, shape):
+    def test_non_invertible_advance(self, shape):
         l1, l2, w = shape
         assert math.gcd(coset_exponent(l1, w), (1 << l2) - 1) == NON_INVERTIBLE[shape]
         spec = random_spec(random.Random(l1 * 100 + l2), l1, l2, w)
@@ -363,6 +357,59 @@ class TestColumnModel:
         z = engine_window(spec, 3 * shrunken_stats(spec.l1, spec.l2).period, 5)
         assert z.raw[:64] == bytes(oracle_keystream(spec, 69)[5:])
         assert 1 <= len(residues) == len(set(residues)) <= NON_INVERTIBLE.get(shape, 1)
+
+    @pytest.mark.parametrize("w", [0, 2])
+    def test_one_jump_to_the_first_row(self, w, monkeypatch):
+        """Every window jumps SR2 once, to its first row, and runs it over its own rows only."""
+        spec = random_spec(random.Random(1517 + w), 4, 17, w)
+        d, period = 8, (1 << 17) - 1
+        offsets, advance = [], 0
+        for a, _, x in islice(_clocked_steps(spec), 15):
+            if a:
+                offsets.append(advance)
+            advance += x
+        seed = sum(bit << k for k, bit in enumerate(spec.is2))
+
+        def bit_at(position: int) -> int:
+            q, c = divmod(position % (d * period), d)
+            t = (q * advance + offsets[c]) % period
+            return (_pow_mod(2, t, spec.c2.mask) & seed).bit_count() & 1
+
+        jumps, sr2_bits = [], []
+        seed_at, lfsr = generators._sr2_seed_at, generators.lfsr_bytes
+
+        def counted_seed_at(spec_, step):
+            jumps.append(step)
+            return seed_at(spec_, step)
+
+        def counted_lfsr(charpoly, seed_, n):
+            if charpoly == spec.c2:
+                sr2_bits.append(n)
+            return lfsr(charpoly, seed_, n)
+
+        monkeypatch.setattr(generators, "_sr2_seed_at", counted_seed_at)
+        monkeypatch.setattr(generators, "lfsr_bytes", counted_lfsr)
+        near_end = next(q for q in range(period - 1, 0, -1) if q * advance % period > period - 2 * advance)
+        windows = [
+            (1, 0),
+            (64, d * 100 + 3),  # skips fewer than 2^16 SR2 bits
+            (64, d * (1 << 13) + 5),  # skips more than 2^16
+            (64, d * (1 << 40) + 1),
+            (400, d * near_end + 2),  # straddles SR2's period
+            (64, d * period - 20),  # straddles the keystream's period
+            (d * period // advance + 3 * d, d * 9000 + 7),  # reads past one SR2 period
+            (1, 3 * d * period + 6),
+        ]
+        for n, origin in windows:
+            jumps.clear()
+            sr2_bits.clear()
+            z = engine_window(spec, n, origin)
+            first = origin % (d * period) // d
+            rows = (origin % d + n - 1) // d + 1
+            assert jumps == [first * advance % period], (n, origin)
+            assert len(sr2_bits) == 1 and sr2_bits[0] <= min(rows * advance, period), (n, origin)
+            probes = [*range(min(n, 32)), *range(max(n - 32, 0), n)]
+            assert [z.raw[i] for i in probes] == [bit_at(origin + i) for i in probes], (n, origin)
 
 
 class TestClockAdvances:
