@@ -21,6 +21,8 @@ One run times each layer the attack goes through, called on its own in
 - regeneration: the full-period keystream the attack reports, which
   `AttackResult.keystream` regenerates each time it is read
 - full_attack: the whole attack, in the same process, with its report unread
+  and `is_primitive`'s cache cleared first, so it proves c1, c2 and the base
+  again, as a CLI attack on a fresh spec does
 
 Rungs with l2 above the field cap (gf2.MAX_FIELD_DEGREE) time linearize
 and min_poly only, since neither builds a field: the attack refuses them,
@@ -102,6 +104,7 @@ def _one_run(l1: int, l2: int, w: int) -> tuple[dict[str, float], str]:
         FieldTable,
         coset_exponent,
         full_attack,
+        is_primitive,
         linearize_generator,
         min_poly_of_power,
         phase1_reconstruct,
@@ -128,6 +131,7 @@ def _one_run(l1: int, l2: int, w: int) -> tuple[dict[str, float], str]:
     period = (1 << (l1 - 1)) * ((1 << l2) - 1)
     timed("regeneration", generate, public.with_seeds(*planted), period)
     del known, table
+    is_primitive.cache_clear()
     try:
         result = timed("full_attack", full_attack, intercepted, public)
     except Exception as exc:  # an attack that does not recover is recorded, not fatal

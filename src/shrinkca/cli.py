@@ -16,7 +16,7 @@ import sys
 from typing import Sequence
 
 from .attack import Ambiguous, ConflictingReconstruction, Exhausted, full_attack
-from .engines import BitSeq, CaState, LfsrState, ca_generate, lfsr_generate
+from .engines import BitSeq, CaState, LfsrState, _ca_states, _seed_to_int, lfsr_generate
 from .generators import (
     GeneratorSpec,
     _json_bits,
@@ -69,8 +69,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         reg = LfsrState(_json_poly(data, "c1", _json_int(data, "l1")), _required_bits(data, "is1"))
         bits = lfsr_generate(reg, skip + args.bits)
     elif args.kind == "ca":
-        rules = RuleVector(_required_bits(data, "rules"))
-        bits = ca_generate(CaState(rules, _required_bits(data, "cells")), skip + args.bits)[0]
+        st = CaState(RuleVector(_required_bits(data, "rules")), _required_bits(data, "cells"))
+        states = _ca_states(st.rules, _seed_to_int(st.cells), skip + args.bits)
+        bits = BitSeq._adopt(bytes(s & 1 for s in states), 0)  # bit 0 of a state is cell 1
     else:
         spec = GeneratorSpec.from_json(data)
         if args.kind == "shrink" and spec.taps:

@@ -237,27 +237,30 @@ class CaState:
         return len(self.cells)
 
 
+def _ca_states(rules: RuleVector, state: int, steps: int) -> Iterator[int]:
+    """The automaton's states at times 0 .. steps - 1 from `state`, as ints."""
+    full = (1 << len(rules)) - 1
+    r = _seed_to_int(rules.bits)
+    for _ in range(steps):
+        yield state
+        state = ((state << 1) & full) ^ (state >> 1) ^ (state & r)
+
+
 def ca_step(state: CaState) -> CaState:
     """One synchronous update: cell i becomes left + right (+ self under rule 150)."""
-    n = len(state.cells)
-    full = (1 << n) - 1
-    c = _seed_to_int(state.cells)
-    r = _seed_to_int(state.rules.bits)
-    nxt = ((c << 1) & full) ^ (c >> 1) ^ (c & r)
-    return CaState(state.rules, tuple(nxt >> k & 1 for k in range(n)))
+    _, nxt = _ca_states(state.rules, _seed_to_int(state.cells), 2)
+    return CaState(state.rules, tuple(nxt >> k & 1 for k in range(len(state.cells))))
 
 
 def ca_generate(state: CaState, n: int) -> list[BitSeq]:
     """Vertical output sequences of every cell over n states (the initial one included)."""
     if n < 0:
         raise ValueError("state count must be nonnegative")
-    traces: list[list[int]] = [[] for _ in state.cells]
-    cur = state
-    for _ in range(n):
-        for k, bit in enumerate(cur.cells):
-            traces[k].append(bit)
-        cur = ca_step(cur)
-    return [BitSeq(tuple(t)) for t in traces]
+    # row t of `rows` is state t in cell order, so cell k+1 is every width-th byte from k
+    width = len(state.cells)
+    states = _ca_states(state.rules, _seed_to_int(state.cells), n)
+    rows = "".join(format(s, f"0{width}b")[::-1] for s in states).encode("ascii").translate(_VALUES)
+    return [BitSeq._adopt(rows[k::width], 0) for k in range(width)]
 
 
 def decimate(seq: BitSeq, step: int, residue: int) -> BitSeq:
@@ -274,15 +277,9 @@ def _cell_basis_traces(rules: RuleVector, cell: int, steps: int) -> list[int]:
     n = len(rules)
     if not 1 <= cell <= n:
         raise ValueError(f"cell index must be in [1, {n}]")
-    full = (1 << n) - 1
-    r = _seed_to_int(rules.bits)
-    rows = [0] * steps
-    for j in range(n):
-        c = 1 << j
-        for t in range(steps):
-            rows[t] |= (c >> (cell - 1) & 1) << j
-            c = ((c << 1) & full) ^ (c >> 1) ^ (c & r)
-    return rows
+    # The update matrix M is symmetric, so M^t is: cell `cell` of M^t e_j is
+    # cell j of M^t e_cell, and row t is the state at time t from e_cell.
+    return list(_ca_states(rules, 1 << (cell - 1), steps))
 
 
 def solve_cell_seed(rules: RuleVector, cell: int, target: Sequence[int]) -> CaState | None:

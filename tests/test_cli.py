@@ -8,9 +8,10 @@ import pytest
 
 import shrinkca
 from shrinkca.cli import _build_parser, main
+from shrinkca.engines import solve_cell_seed
 from shrinkca.generators import GeneratorSpec, _clocked_steps
 from shrinkca.gf2 import _pow_mod
-from shrinkca.linearize import MAX_CELLS
+from shrinkca.linearize import MAX_CELLS, linearize_generator
 
 EXAMPLE1 = {"l1": 3, "l2": 4, "c1": "0,2,3", "c2": "0,1,4", "is1": "100", "is2": "1000"}
 EXAMPLE2 = dict(EXAMPLE1, taps=[0])
@@ -233,6 +234,37 @@ class TestGenerate:
             main(argv + ["--origin", "-3"])
         assert exc.value.code == 2
         assert "nonnegative" in capsys.readouterr().err
+
+
+# (l1, l2) up to (5, 13), plain and tapped; (6, 17) takes seconds per automaton
+FULL_PERIOD_SPECS = [
+    {"l1": 3, "l2": 7, "c1": "0,1,3", "c2": "0,1,7", "is1": "101", "is2": "0011010", "taps": []},
+    {"l1": 4, "l2": 11, "c1": "0,1,4", "c2": "0,2,11", "is1": "0110", "is2": "10000000001", "taps": [1]},
+    {"l1": 5, "l2": 11, "c1": "0,2,5", "c2": "0,2,11", "is1": "11101", "is2": "01011100110", "taps": []},
+    {
+        "l1": 5, "l2": 13, "c1": "0,2,5", "c2": "0,1,3,4,13",
+        "is1": "10011", "is2": "1111011000001", "taps": [0, 3],
+    },
+]
+
+
+class TestModelAtFullPeriod:
+    @pytest.mark.parametrize(
+        "data", FULL_PERIOD_SPECS, ids=lambda d: f"{d['l1']}-{d['l2']}-{len(d['taps'])}"
+    )
+    def test_both_automata_print_the_keystream(self, capsys, spec_file, data):
+        kind = "ccsg" if data["taps"] else "shrink"
+        period = str((1 << (data["l1"] - 1)) * ((1 << data["l2"]) - 1))
+        argv = ["generate", "--spec", spec_file(data), "--kind", kind, "--bits", period]
+        code, keystream, _ = run(capsys, *argv)
+        assert code == 0
+        c2 = GeneratorSpec.from_json(data).c2
+        for rv in linearize_generator(data["l1"], c2, len(data["taps"])):
+            st = solve_cell_seed(rv, 1, tuple(map(int, keystream[: 2 * len(rv)])))
+            assert st is not None
+            ca = spec_file({"rules": str(rv), "cells": "".join(map(str, st.cells))}, "ca.json")
+            argv = ["generate", "--spec", ca, "--kind", "ca", "--bits", period]
+            assert run(capsys, *argv) == (0, keystream, "")
 
 
 class TestLinearize:

@@ -8,6 +8,7 @@ from shrinkca.engines import (
     CaState,
     LfsrState,
     ZeroSeed,
+    _cell_basis_traces,
     ca_generate,
     ca_step,
     decimate,
@@ -35,6 +36,25 @@ AUTOMATON_ROWS = [
 
 def bits(text: str) -> tuple[int, ...]:
     return tuple(int(c) for c in text)
+
+
+def oracle_step(rules: tuple[int, ...], cells: tuple[int, ...]) -> tuple[int, ...]:
+    """One update from the rule definition: left + right (+ self under rule 150), null boundaries."""
+    padded = (0,) + cells + (0,)
+    return tuple((padded[i] + padded[i + 2] + rule * padded[i + 1]) % 2 for i, rule in enumerate(rules))
+
+
+def oracle_states(rules: tuple[int, ...], cells: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
+    states = []
+    for _ in range(n):
+        states.append(cells)
+        cells = oracle_step(rules, cells)
+    return states
+
+
+def random_automaton(rng: random.Random) -> tuple[RuleVector, tuple[int, ...]]:
+    n = rng.choice((1, 2, rng.randrange(3, 40)))
+    return RuleVector(tuple(rng.randrange(2) for _ in range(n))), tuple(rng.randrange(2) for _ in range(n))
 
 
 class TestBitSeq:
@@ -236,6 +256,30 @@ class TestCellularAutomaton:
         assert ca_step(st).cells == (1, 0)
         st = CaState(RuleVector.from_string("10"), (1, 0))
         assert ca_step(st).cells == (1, 1)
+
+    def test_traces_against_tuple_oracle(self):
+        rng = random.Random(90150)
+        for _ in range(60):
+            rules, cells = random_automaton(rng)
+            size = len(cells)
+            for n in sorted({0, 1, size - 1, size, size + 1, 3 * size}):
+                states = oracle_states(rules.bits, cells, n)
+                expected = [BitSeq(tuple(s[k] for s in states)) for k in range(size)]
+                assert ca_generate(CaState(rules, cells), n) == expected, (rules, cells, n)
+
+    def test_cell_basis_against_unit_seed_loop(self):
+        rng = random.Random(150)
+        for _ in range(60):
+            rules, _ = random_automaton(rng)
+            size = len(rules)
+            cell = rng.randrange(1, size + 1)
+            steps = rng.randrange(3 * size + 2)
+            rows = [0] * steps
+            for j in range(size):
+                unit = tuple(int(k == j) for k in range(size))
+                for t, state in enumerate(oracle_states(rules.bits, unit, steps)):
+                    rows[t] |= state[cell - 1] << j
+            assert _cell_basis_traces(rules, cell, steps) == rows, (rules, cell, steps)
 
     def test_trace_obeys_char_poly(self):
         rules = RuleVector.from_string("0111001110")
