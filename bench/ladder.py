@@ -67,7 +67,7 @@ RUNGS = (
     (3, 61, 0),
 )
 LAYERS = ("linearize", "min_poly", "field", "phase1", "phase2", "regeneration", "full_attack")
-RUNS = 3
+RUNS = 7
 CAP_S = 60
 
 

@@ -13,12 +13,14 @@ import argparse
 import functools
 import json
 import sys
+from itertools import islice
 from typing import Sequence
 
 from .attack import Ambiguous, ConflictingReconstruction, Exhausted, full_attack
-from .engines import BitSeq, CaState, LfsrState, _ca_states, _seed_to_int, lfsr_generate
+from .engines import BitSeq, CaState, LfsrState, _ca_states, _lfsr_seed_at, _seed_to_int, lfsr_bytes
 from .generators import (
     GeneratorSpec,
+    _check_shape,
     _json_bits,
     _json_int,
     _json_poly,
@@ -64,34 +66,28 @@ def _required_bits(data: dict, key: str) -> tuple[int, ...]:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     data = _load_json(args.spec)
-    skip = args.origin
     if args.kind == "lfsr":
         reg = LfsrState(_json_poly(data, "c1", _json_int(data, "l1")), _required_bits(data, "is1"))
-        bits = lfsr_generate(reg, skip + args.bits)
+        seed = _lfsr_seed_at(reg.charpoly, reg.seed, args.origin)
+        bits = BitSeq._adopt(lfsr_bytes(reg.charpoly, seed, args.bits), args.origin)
     elif args.kind == "ca":
         st = CaState(RuleVector(_required_bits(data, "rules")), _required_bits(data, "cells"))
-        states = _ca_states(st.rules, _seed_to_int(st.cells), skip + args.bits)
-        bits = BitSeq._adopt(bytes(s & 1 for s in states), 0)  # bit 0 of a state is cell 1
+        states = _ca_states(st.rules, _seed_to_int(st.cells), args.origin + args.bits)
+        window = islice(states, args.origin, None)
+        bits = BitSeq._adopt(bytes(s & 1 for s in window), args.origin)  # bit 0 of a state is cell 1
     else:
-        spec = GeneratorSpec.from_json(data)
-        if args.kind == "shrink" and spec.taps:
-            raise ValueError("spec has clock taps; use --kind ccsg")
-        if args.kind == "ccsg" and not spec.taps:
-            raise ValueError("spec has no clock taps; use --kind shrink")
         gen = shrink_generate if args.kind == "shrink" else ccsg_generate
-        bits, skip = gen(spec, args.bits, origin=args.origin), 0
-    _emit(str(bits)[skip:] + "\n", args.output)
+        bits = gen(GeneratorSpec.from_json(data), args.bits, origin=args.origin)
+    _emit(f"{bits}\n", args.output)
     return 0
 
 
 def _cmd_linearize(args: argparse.Namespace) -> int:
     data = _load_json(args.spec)
     l1, l2 = _json_int(data, "l1"), _json_int(data, "l2")
-    c2 = _json_poly(data, "c2", l2)
-    if c2.degree != l2:
-        raise ValueError(f"c2 degree {c2.degree} != l2 {l2}")
-    w = len(_json_taps(data))
-    model = linearize_model(l1, c2, w)
+    c2, taps = _json_poly(data, "c2", l2), _json_taps(data)
+    _check_shape(l1, l2, c2, taps)
+    model = linearize_model(l1, c2, len(taps))
     if args.trace:
         for idx, chain in enumerate(model.chains):
             print(f"automaton {idx + 1} concatenation chain:", file=sys.stderr)
@@ -102,10 +98,8 @@ def _cmd_linearize(args: argparse.Namespace) -> int:
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
-    if args.origin != 0:
-        raise ValueError("the attack needs an interception starting at position 0")
     spec = GeneratorSpec.from_json(_load_json(args.spec))
-    intercepted = BitSeq.parse(args.intercepted)
+    intercepted = BitSeq.parse(args.intercepted, args.origin)
     result = full_attack(intercepted, spec)
     if args.trace:
         print("phase 1 window identities:", file=sys.stderr)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .gf2 import Gf2LinearSystem, Gf2Poly, NonPrimitiveModulus, RuleVector, _mul_mod, is_primitive
+from .gf2 import Gf2LinearSystem, Gf2Poly, NonPrimitiveModulus, RuleVector, _mul_mod, _pow_mod, is_primitive
 
 __all__ = [
     "ZeroSeed",
@@ -153,10 +153,6 @@ class LfsrState:
         if not any(self.seed):
             raise ZeroSeed("LFSR seed must be nonzero")
 
-    @property
-    def length(self) -> int:
-        return len(self.seed)
-
 
 def lfsr_bit_iter(charpoly: Gf2Poly, seed: Sequence[int]) -> Iterator[int]:
     """Endless output bits of the register; no primitivity check here."""
@@ -172,6 +168,19 @@ def lfsr_bit_iter(charpoly: Gf2Poly, seed: Sequence[int]) -> Iterator[int]:
         yield state & 1
         new = (state & feedback).bit_count() & 1
         state = (state >> 1) | (new << top)
+
+
+def _lfsr_seed_at(charpoly: Gf2Poly, seed: Sequence[int], step: int) -> tuple[int, ...]:
+    """The register's stages after `step` advances: s_(step + i) = <x^(step + i) mod charpoly, seed>."""
+    mod, top, state = charpoly.mask, 1 << len(seed), _seed_to_int(seed)
+    r = _pow_mod(2, step, mod)
+    stages = []
+    for _ in seed:
+        stages.append((r & state).bit_count() & 1)
+        r <<= 1
+        if r & top:
+            r ^= mod
+    return tuple(stages)
 
 
 def lfsr_bytes(charpoly: Gf2Poly, seed: Sequence[int], n: int) -> bytes:
@@ -231,10 +240,6 @@ class CaState:
             raise ValueError("cell count must match rule vector length")
         if any(c not in (0, 1) for c in self.cells):
             raise ValueError("cells must be 0 or 1")
-
-    @property
-    def length(self) -> int:
-        return len(self.cells)
 
 
 def _ca_states(rules: RuleVector, state: int, steps: int) -> Iterator[int]:

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from itertools import accumulate, compress
 from typing import Iterator, Sequence
 
-from .engines import BitSeq, ZeroSeed, _seed_to_int, lfsr_bit_iter, lfsr_bytes
-from .gf2 import Gf2Poly, NonPrimitiveModulus, _pow_mod, is_primitive
+from .engines import BitSeq, ZeroSeed, _lfsr_seed_at, lfsr_bit_iter, lfsr_bytes
+from .gf2 import Gf2Poly, NonPrimitiveModulus, is_primitive
 
 __all__ = [
     "GeneratorSpec",
@@ -76,6 +76,22 @@ def _json_taps(data: dict) -> tuple[int, ...]:
     return tuple(taps)
 
 
+def _check_shape(l1: int, l2: int, c2: Gf2Poly, taps: Sequence[int]) -> None:
+    """The rules on l1, l2, c2's degree and the clock taps, which linearize applies too."""
+    if c2.degree != l2:
+        raise ValueError(f"c2 degree {c2.degree} != l2 {l2}")
+    if l1 < 1:
+        raise ValueError("l1 must be >= 1")
+    if l2 <= l1:
+        raise ValueError("l2 must exceed l1")
+    if math.gcd(l1, l2) != 1:
+        raise ValueError(f"register lengths {l1}, {l2} must be coprime")
+    if len(set(taps)) != len(taps):
+        raise ValueError("taps must be distinct")
+    if any(t < 0 or t >= l1 for t in taps):
+        raise ValueError(f"taps must lie in [0, {l1})")
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Static parameters of a (clock-controlled) shrinking generator.
@@ -94,16 +110,9 @@ class GeneratorSpec:
     taps: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if self.l1 < 1:
-            raise ValueError("l1 must be >= 1")
-        if self.l2 <= self.l1:
-            raise ValueError("l2 must exceed l1")
-        if math.gcd(self.l1, self.l2) != 1:
-            raise ValueError(f"register lengths {self.l1}, {self.l2} must be coprime")
+        _check_shape(self.l1, self.l2, self.c2, self.taps)
         if self.c1.degree != self.l1:
             raise ValueError(f"c1 degree {self.c1.degree} != l1 {self.l1}")
-        if self.c2.degree != self.l2:
-            raise ValueError(f"c2 degree {self.c2.degree} != l2 {self.l2}")
         for name, poly in (("c1", self.c1), ("c2", self.c2)):
             if not is_primitive(poly):
                 raise NonPrimitiveModulus(f"{name} = {poly.to_text()} is not primitive")
@@ -114,10 +123,6 @@ class GeneratorSpec:
                 raise ValueError(f"{name} must be {length} bits")
             if not any(seed):
                 raise ZeroSeed(f"{name} must be nonzero")
-        if len(set(self.taps)) != len(self.taps):
-            raise ValueError("taps must be distinct")
-        if any(t < 0 or t >= self.l1 for t in self.taps):
-            raise ValueError(f"taps must lie in [0, {self.l1})")
         if self.taps and len(self.taps) == self.l1:
             warnings.warn(
                 "tap count equals the control register length; clocking leaks the whole SR1 state",
@@ -203,20 +208,6 @@ def clock_advances(a: Sequence[int], taps: Sequence[int]) -> list[int]:
     return list(accumulate(steps, initial=0))
 
 
-def _sr2_seed_at(spec: GeneratorSpec, step: int) -> tuple[int, ...]:
-    """SR2's state after `step` advances: s_(step + i) = <x^(step + i) mod c2, is2>."""
-    assert spec.is2 is not None
-    mod, top, seed = spec.c2.mask, 1 << spec.l2, _seed_to_int(spec.is2)
-    r = _pow_mod(2, step, mod)
-    state = []
-    for _ in range(spec.l2):
-        state.append((r & seed).bit_count() & 1)
-        r <<= 1
-        if r & top:
-            r ^= mod
-    return tuple(state)
-
-
 def _walk(buf: bytes, start: int, stride: int, count: int) -> bytes:
     """buf[(start + k * stride) % len(buf)] for k < count, one slice per wrap."""
     parts = []
@@ -272,7 +263,7 @@ def _interleave(spec: GeneratorSpec, n: int, origin: int = 0) -> BitSeq:
     a = lfsr_bytes(spec.c1, spec.is1, span + spec.l1)
     adv = clock_advances(a, spec.taps)
     offsets, advance = list(compress(adv, a[:span]))[:width], adv[span]
-    seed = _sr2_seed_at(spec, first * advance % period)
+    seed = _lfsr_seed_at(spec.c2, spec.is2, first * advance % period)
     last = offsets[-1] + (rows - 1) * advance
     out = bytearray(rows * width)
     if last < period:
@@ -305,14 +296,14 @@ def _interleave(spec: GeneratorSpec, n: int, origin: int = 0) -> BitSeq:
 def shrink_generate(spec: GeneratorSpec, n: int, origin: int = 0) -> BitSeq:
     """Plain shrinking generator keystream, bits origin .. origin + n - 1 (taps must be empty)."""
     if spec.taps:
-        raise ValueError("shrink_generate needs an untapped spec; use ccsg_generate")
+        raise ValueError("spec has clock taps; use ccsg")
     return _interleave(spec, n, origin)
 
 
 def ccsg_generate(spec: GeneratorSpec, n: int, origin: int = 0) -> BitSeq:
     """Clock-controlled shrinking generator keystream, bits origin .. origin + n - 1 (taps nonempty)."""
     if not spec.taps:
-        raise ValueError("ccsg_generate needs at least one tap; use shrink_generate")
+        raise ValueError("spec has no clock taps; use shrink")
     return _interleave(spec, n, origin)
 
 

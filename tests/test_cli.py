@@ -2,16 +2,17 @@ import json
 import os
 import subprocess
 import sys
-from itertools import islice
+import warnings
+from itertools import combinations_with_replacement, islice
 
 import pytest
 
 import shrinkca
 from shrinkca.cli import _build_parser, main
-from shrinkca.engines import solve_cell_seed
+from shrinkca.engines import lfsr_bit_iter, solve_cell_seed
 from shrinkca.generators import GeneratorSpec, _clocked_steps
-from shrinkca.gf2 import _pow_mod
-from shrinkca.linearize import MAX_CELLS, linearize_generator
+from shrinkca.gf2 import Gf2Poly, _pow_mod, is_primitive
+from shrinkca.linearize import MAX_CELLS, linearize_generator, linearize_model
 
 EXAMPLE1 = {"l1": 3, "l2": 4, "c1": "0,2,3", "c2": "0,1,4", "is1": "100", "is2": "1000"}
 EXAMPLE2 = dict(EXAMPLE1, taps=[0])
@@ -64,6 +65,13 @@ class TestGenerate:
         code, out, _ = run(capsys, "generate", "--spec", spec, "--kind", "ca", "--bits", "10")
         assert code == 0
         assert out == "0001000101\n"
+
+    def test_ca_origin_is_a_slice(self, capsys, spec_file):
+        spec = spec_file({"rules": "0111001110", "cells": "0001110110"})
+        argv = ["generate", "--spec", spec, "--kind", "ca"]
+        code, whole, _ = run(capsys, *argv, "--bits", "10")
+        assert code == 0
+        assert run(capsys, *argv, "--bits", "6", "--origin", "4") == (0, whole[4:], "")
 
     def test_zero_bits_emits_empty_line(self, capsys, spec_file):
         code, out, _ = run(
@@ -267,6 +275,17 @@ class TestModelAtFullPeriod:
             assert run(capsys, *argv) == (0, keystream, "")
 
 
+# Specs that linearize_model alone would model but GeneratorSpec refuses,
+# each with the c1 that makes it a full generate spec and the refusal
+REFUSED_SHAPES = [
+    ({"l1": 2, "l2": 4, "c2": "0,1,4"}, "0,1,2", "register lengths 2, 4 must be coprime"),
+    ({"l1": 5, "l2": 3, "c2": "0,1,3"}, "0,2,5", "l2 must exceed l1"),
+    ({"l1": 3, "l2": 4, "c2": "0,1,4", "taps": [7]}, "0,1,3", "taps must lie in [0, 3)"),
+    ({"l1": 3, "l2": 4, "c2": "0,1,4", "taps": [-1]}, "0,1,3", "taps must lie in [0, 3)"),
+    ({"l1": 3, "l2": 4, "c2": "0,1,4", "taps": [1, 1]}, "0,1,3", "taps must be distinct"),
+]
+
+
 class TestLinearize:
     def test_rule_vector_lines(self, capsys, spec_file):
         spec = spec_file({"l1": 4, "l2": 5, "c2": "0,1,3,4,5", "taps": []})
@@ -334,6 +353,41 @@ class TestLinearize:
         code, _, err = run(capsys, "linearize", "--spec", spec)
         assert code == 2
         assert "c2 degree 5 != l2 6" in err
+
+    @pytest.mark.parametrize(
+        "public,c1,message", REFUSED_SHAPES, ids=["2-4", "5-3", "tap-7", "tap-minus-1", "taps-1-1"]
+    )
+    def test_refuses_what_generate_refuses(self, capsys, spec_file, public, c1, message):
+        code, out, err = run(capsys, "linearize", "--spec", spec_file(public))
+        first_line = err.partition("\n")[0]
+        assert (code, out, first_line) == (2, "", f"error: {message}")
+        seeds = {"is1": "1".ljust(public["l1"], "0"), "is2": "1".ljust(public["l2"], "0")}
+        kind = "ccsg" if public.get("taps") else "shrink"
+        argv = ["generate", "--spec", spec_file(dict(public, c1=c1, **seeds)), "--kind", kind]
+        code, _, generate_err = run(capsys, *argv, "--bits", "8")
+        assert (code, generate_err.partition("\n")[0]) == (2, first_line)
+
+    def test_refuses_exactly_what_the_library_refuses(self, capsys, spec_file):
+        """Every l1 <= 4, l2 <= 7 and tap multiset over -1..l1, with the first primitive c1 and c2."""
+        first_primitive = {
+            m: next(p for p in map(Gf2Poly, range(1 << m, 2 << m)) if is_primitive(p)) for m in range(1, 8)
+        }
+        for l1 in range(1, 5):
+            for l2 in range(1, 8):
+                c1, c2 = first_primitive[l1], first_primitive[l2]
+                for w in range(l1 + 1):
+                    for taps in combinations_with_replacement(range(-1, l1 + 1), w):
+                        expected = (0, "")
+                        try:
+                            with warnings.catch_warnings():
+                                warnings.simplefilter("ignore")
+                                GeneratorSpec(l1, l2, c1, c2, taps=taps)
+                            linearize_model(l1, c2, w)
+                        except ValueError as exc:
+                            expected = (2, f"error: {exc}\n")
+                        spec = spec_file({"l1": l1, "l2": l2, "c2": c2.to_text(), "taps": list(taps)})
+                        code, _, err = run(capsys, "linearize", "--spec", spec)
+                        assert (code, err) == expected, (l1, l2, taps)
 
     def test_degenerate_coset(self, capsys, spec_file):
         spec = spec_file({"l1": 3, "l2": 4, "c2": "0,1,4", "taps": [0, 1, 2]})
@@ -579,3 +633,11 @@ class TestCostFollowsOutput:
         period = 8 * ((1 << 23) - 1)
         window = [(origin + i) % period for i in range(64)]
         assert proc.stdout == keystream_at(GeneratorSpec.from_json(data), window) + "\n"
+        # SR1's own stream jumps to its origin too, with period 2^4 - 1
+        proc = _run_capped(
+            tmp_path, data, ["generate", "--kind", "lfsr", "--bits", "64", "--origin", str(origin)]
+        )
+        assert proc.returncode == 0, proc.stderr
+        sr1 = lfsr_bit_iter(Gf2Poly.parse(data["c1"]), tuple(map(int, data["is1"])))
+        start = origin % 15
+        assert proc.stdout == "".join(map(str, islice(sr1, start, start + 64))) + "\n"

@@ -376,18 +376,18 @@ class TestColumnModel:
             return (_pow_mod(2, t, spec.c2.mask) & seed).bit_count() & 1
 
         jumps, sr2_bits = [], []
-        seed_at, lfsr = generators._sr2_seed_at, generators.lfsr_bytes
+        seed_at, lfsr = generators._lfsr_seed_at, generators.lfsr_bytes
 
-        def counted_seed_at(spec_, step):
+        def counted_seed_at(charpoly, seed_, step):
             jumps.append(step)
-            return seed_at(spec_, step)
+            return seed_at(charpoly, seed_, step)
 
         def counted_lfsr(charpoly, seed_, n):
             if charpoly == spec.c2:
                 sr2_bits.append(n)
             return lfsr(charpoly, seed_, n)
 
-        monkeypatch.setattr(generators, "_sr2_seed_at", counted_seed_at)
+        monkeypatch.setattr(generators, "_lfsr_seed_at", counted_seed_at)
         monkeypatch.setattr(generators, "lfsr_bytes", counted_lfsr)
         near_end = next(q for q in range(period - 1, 0, -1) if q * advance % period > period - 2 * advance)
         windows = [
