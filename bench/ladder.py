@@ -62,6 +62,8 @@ RUNGS = (
     (10, 11, 0),
     (11, 13, 0),
     (12, 13, 0),
+    (13, 14, 0),
+    (13, 15, 1),
     (3, 29, 0),
     (3, 31, 0),
     (3, 61, 0),

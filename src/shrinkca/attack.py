@@ -17,17 +17,19 @@ consistent when merged into a GF(2) linear system over the column-0 seed
 (stage two).  Stage two eliminates only while that system is
 underdetermined: once l2 independent bits fix the seed, each further bit
 is one inner product to check.  SR1 is primitive, so every hypothesis's
-output is a window of one m-sequence period, built once per attack.
+output is a window of one m-sequence period, and its column shifts are
+differences of one clock over that period, both built once per attack.
 Survivors are completed to SR2 seeds by solving that system at the
 decimation-inverse rows, then verified by regeneration.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .engines import BitSeq, lfsr_bytes
 from .generators import GeneratorSpec, _interleave, clock_advances
@@ -162,6 +164,39 @@ def subtriangle_expressions(rules: RuleVector, cell: int, power: int) -> tuple[i
     return (RuleVector(rules.bits[: cell - 1]).char_poly() ** power).exponents()
 
 
+def _span_masks(d: int, r: int) -> dict[int, int]:
+    """mask[s] for s = 1, 2, 4, .. < d: bit e set for every e < r with e = s mod 2s."""
+    mask = {}
+    s = 1
+    while s < d:
+        bits, width = 1 << s, 2 * s
+        while width < r:
+            bits |= bits << width
+            width *= 2
+        mask[s] = bits & ((1 << r) - 1)
+        s *= 2
+    return mask
+
+
+def _column_span(poly: int, mask: dict[int, int], d: int) -> int:
+    """min(2^a, d) for poly / x^u = S(x^(2^a)), u its lowest exponent; 0 for one term.
+
+    mask is _span_masks(d, r) for some r above poly's degree.
+    """
+    q = poly >> ((poly & -poly).bit_length() - 1)
+    if q == 1:
+        return 0
+    span = 1
+    while span < d and not q & mask[span]:
+        span *= 2
+    return span
+
+
+def _require_zero_origin(intercepted: BitSeq) -> None:
+    if intercepted.origin != 0:
+        raise ValueError("interception must start at keystream position 0")
+
+
 def phase1_reconstruct(
     intercepted: BitSeq,
     ca_pair: tuple[RuleVector, RuleVector],
@@ -177,13 +212,13 @@ def phase1_reconstruct(
     exponent of P / x^u, u the lowest; only those powers are built.  Shift-and-add
     turns the window sum into a single column bit, usually far beyond the prefix.
     """
-    if intercepted.origin != 0:
-        raise ValueError("interception must start at keystream position 0")
+    _require_zero_origin(intercepted)
     d = 1 << (l1 - 1)
     period = d * table.order
     r = len(intercepted)
     if r < 1 or r > period:
         raise ValueError(f"intercepted length must be in [1, {period}]")
+    mask = _span_masks(d, r)
     raw = intercepted.raw
     known = KnownBits(period)
     for p, bit in enumerate(raw):
@@ -198,14 +233,14 @@ def phase1_reconstruct(
             # P / x^u = S(x^(2^a)) with S not a square.  For k = 2^c m, m odd,
             # S^k = S^m(x^(2^c)) and S^m is no square (its derivative S^(m-1) S'
             # is nonzero), so d divides every exponent of P^k / x^(uk) exactly when
-            # d | 2^a k, that is when step = max(d >> a, 1) divides k.  coeffs[s::2s]
-            # holds the terms x^e of P / x^u with e = s mod 2s: span ends at min(2^a, d).
-            coeffs = format(prev, "b")[::-1].lstrip("0")
-            span = 1
-            while span < d and "1" not in coeffs[span :: 2 * span]:
-                span *= 2
+            # d | 2^a k, that is when step = max(d >> a, 1) divides k.  P / x^u has
+            # degree below cell <= r, so mask[s] covers its terms x^e with e = s mod 2s:
+            # the span, min(2^a, d), is the first s < d they all miss, or d.
+            span = _column_span(prev, mask, d)
+            if not span:  # one term
+                continue
             step, top = d // span, (r - 1) // (cell - 1)
-            if coeffs == "1" or step > top:  # one term, or no window fits
+            if step > top:  # no window fits
                 continue
             acc = base = Gf2Poly(prev) ** step
             for power in range(step, top + 1, step):
@@ -278,6 +313,29 @@ def _sr1_ring(c1: Gf2Poly) -> tuple[bytes, dict[bytes, int]]:
     return ring, {ring[i : i + l1]: i for i in range(nper)}
 
 
+def _sr1_clock(c1: Gf2Poly, taps: Sequence[int]) -> Callable[[bytes, int], Iterator[int]]:
+    """SR2's advance at SR1's 1s number start .. d - 1 of one period, from any seed.
+
+    Each seed's SR1 output is a window of one ring (`_sr1_ring`), so its
+    advances are differences of one clock over that ring: from the seed's
+    offset `at`, its c-th 1 is the ring's (k + c)-th, k the ring's 1s before
+    `at`, and SR2 has advanced clock[ones[k + c]] - clock[at] by then.  The
+    ring holds N1 + l1 bits past every offset, so every clock entry a window
+    reads fixes each of its taps.
+    """
+    ring, ring_at = _sr1_ring(c1)
+    clock = clock_advances(ring, taps)
+    ones = list(compress(range(len(ring)), ring))
+    d = 1 << (c1.degree - 1)
+
+    def advances(seed: bytes, start: int) -> Iterator[int]:
+        at = ring_at[seed]
+        k, base = bisect_left(ones, at), clock[at]
+        return (clock[i] - base for i in ones[k + start : k + d])
+
+    return advances
+
+
 def phase2_search(known: KnownBits, spec: GeneratorSpec, table: FieldTable) -> Phase2Result:
     """Depth-first SR1 hypothesis search with column-consistency pruning.
 
@@ -288,10 +346,9 @@ def phase2_search(known: KnownBits, spec: GeneratorSpec, table: FieldTable) -> P
     l1, l2 = spec.l1, spec.l2
     d = 1 << (l1 - 1)
     nrows = table.order
-    nper = (1 << l1) - 1
     jrows = is2_bit_positions(l1, l2, coset_exponent(l1, len(spec.taps)))
     inv = jrows[1]
-    ring, ring_at = _sr1_ring(spec.c1)
+    advances = _sr1_clock(spec.c1, spec.taps)
 
     cols = known.columns(d)
     base_rows = cols[0]
@@ -346,14 +403,14 @@ def phase2_search(known: KnownBits, spec: GeneratorSpec, table: FieldTable) -> P
         nonlocal nodes
         nodes += 1
         is1 = tuple(a_bits)
-        at = ring_at[bytes(a_bits)]
-        sys2, ncol = flush(ring[at : at + nper + l1], sys, next_col, is1)
-        if sys2 is None:
-            return
-        assert ncol == d
+        for col, adv in enumerate(advances(bytes(a_bits), next_col), next_col):
+            nxt = check_column(col, adv * inv % nrows, sys, is1)
+            if nxt is None:
+                return
+            sys = nxt
         # the forms at jrows are lambda^0 .. lambda^(l2-1), a basis: distinct
         # solutions give distinct seeds
-        for sol in sys2.solutions():
+        for sol in sys.solutions():
             is2 = tuple((form(j) & sol).bit_count() & 1 for j in jrows)
             if any(is2):
                 candidates.append((is1, is2))
@@ -407,6 +464,7 @@ def full_attack(intercepted: BitSeq, spec: GeneratorSpec) -> AttackResult:
     phase 1 derives contradictory bits.  The result's keystream is not
     built here: reading it regenerates the period.
     """
+    _require_zero_origin(intercepted)
     d = 1 << (spec.l1 - 1)
     if len(intercepted) < d:
         raise ValueError(f"need at least {d} intercepted bits, got {len(intercepted)}")

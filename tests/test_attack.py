@@ -13,6 +13,9 @@ from shrinkca.attack import (
     KnownBits,
     NonInvertible,
     Phase1Record,
+    _column_span,
+    _span_masks,
+    _sr1_clock,
     _sr1_ring,
     full_attack,
     is2_bit_positions,
@@ -21,8 +24,15 @@ from shrinkca.attack import (
     subtriangle_expressions,
 )
 from shrinkca.engines import BitSeq, lfsr_bytes
-from shrinkca.gf2 import FieldTable, Gf2Poly, is_primitive, min_poly_of_power
-from shrinkca.generators import GeneratorSpec, _clocked_steps, ccsg_generate, shrink_generate
+from shrinkca import attack
+from shrinkca.gf2 import FieldTable, Gf2Poly, RuleVector, is_primitive, min_poly_of_power
+from shrinkca.generators import (
+    GeneratorSpec,
+    _clocked_steps,
+    ccsg_generate,
+    clock_advances,
+    shrink_generate,
+)
 from shrinkca.linearize import DegenerateCoset, coset_exponent, linearize_generator
 
 INTERCEPT = "101000011001110011010011"
@@ -259,6 +269,36 @@ class TestPhase1Oracle:
         assert self.check(pub, intercepts) == len(intercepts)
 
 
+def string_span(poly: int, d: int) -> int:
+    """The column span read off the coefficient string of poly / x^u: 0 for one term."""
+    coeffs = format(poly, "b")[::-1].lstrip("0")
+    if coeffs == "1":
+        return 0
+    span = 1
+    while span < d and "1" not in coeffs[span :: 2 * span]:
+        span *= 2
+    return span
+
+
+class TestColumnSpan:
+    @pytest.mark.parametrize("l1", range(1, 10))
+    def test_masks_agree_with_coefficient_string(self, l1):
+        # sub-automaton polynomials of random rule vectors, raised to 2^j m and
+        # shifted by x^u, so every span up to d occurs; r runs down to deg + 1
+        rng = random.Random(f"span:{l1}")
+        d = 1 << (l1 - 1)
+        for _ in range(20):
+            rv = RuleVector(tuple(rng.getrandbits(1) for _ in range(rng.randint(1, 24))))
+            for cell in range(1, len(rv) + 1):
+                base = RuleVector(rv.bits[:cell]).char_poly()
+                poly = base ** (rng.choice((1, 3, 5)) << rng.randrange(l1 + 1))
+                poly = poly.mask << rng.randrange(4)
+                for r in (poly.bit_length(), poly.bit_length() + rng.randrange(1, 3 * d + 2)):
+                    assert _column_span(poly, _span_masks(d, r), d) == string_span(poly, d)
+        for u in range(3 * d):
+            assert _column_span(1 << u, _span_masks(d, u + 1), d) == string_span(1 << u, d) == 0
+
+
 class TestPhase2:
     def test_unique_survivor(self):
         pub, pair, table = phase1_setup()
@@ -315,6 +355,30 @@ class TestSr1Ring:
             for seed in nonzero_seeds(l1):
                 at = offsets[bytes(seed)]
                 assert ring[at : at + nper + l1] == lfsr_bytes(c1, seed, nper + l1), (c1, seed)
+
+
+class TestSr1Clock:
+    @pytest.mark.parametrize("l1", range(1, 9))
+    def test_leaf_advances_match_own_window(self, l1):
+        # the per-attack clock against clock_advances on the seed's own SR1 output
+        polys = [
+            p
+            for p in (Gf2Poly(1 << l1 | mask) for mask in range(1, 1 << l1, 2))
+            if is_primitive(p)
+        ][:3]
+        nper, d = (1 << l1) - 1, 1 << (l1 - 1)
+        tap_sets = {(), (l1 - 1,), (0, l1 - 1), tuple(range(l1))}
+        for c1, taps in itertools.product(polys, sorted(tap_sets)):
+            ring, offsets = _sr1_ring(c1)
+            advances = _sr1_clock(c1, taps)
+            for seed in nonzero_seeds(l1):
+                at = offsets[bytes(seed)]
+                window = ring[at : at + nper + l1]
+                due = list(itertools.compress(clock_advances(window, taps), window))[:d]
+                assert len(due) == d
+                for start in (0, 1, d - 1):
+                    got = list(advances(bytes(seed), start))
+                    assert got == due[start:], (c1, taps, seed, start)
 
 
 class TestFullAttack:
@@ -401,6 +465,14 @@ class TestFullAttack:
 
     def test_requires_zero_origin(self):
         with pytest.raises(ValueError):
+            full_attack(BitSeq((1,) * 24, origin=5), public_spec())
+
+    def test_origin_refused_before_model(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("linear model built for a refused intercept")
+
+        monkeypatch.setattr(attack, "linearize_model", fail)
+        with pytest.raises(ValueError, match="interception must start at keystream position 0"):
             full_attack(BitSeq((1,) * 24, origin=5), public_spec())
 
     def test_missing_seeds_not_required(self):
