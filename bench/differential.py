@@ -1,0 +1,131 @@
+"""Differential digest: one sha256 over what the attack does on a seeded sample.
+
+Usage (from the repository root):
+
+    python3 bench/differential.py
+
+Run it at two checkouts: a change that claims the attack's output is
+byte-identical must print the same digest as its parent.
+
+The sample is COUNT instances drawn from random.Random(SEED). Each has l1
+in 1..9, a coprime l2 in l1 + 1..13, primitive c1 and c2, 0, 1, 2 or l1
+clock taps, nonzero seeds, and an intercept of d..8d bits (d = 2^(l1-1));
+40 % of the intercepts are random bits, not keystream. The digest covers,
+per instance and in order:
+
+- phase 1's records and every known bit with its provenance;
+- phase 2's candidates, nodes expanded and records;
+- `full_attack`'s seeds, reconstructed positions, nodes and records;
+
+and, wherever a step raises, the exception's type and text instead.
+
+Stdlib only; not part of the tests or of BENCHMARK.json.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+import random
+import sys
+import warnings
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from shrinkca import (  # noqa: E402
+    BitSeq,
+    FieldTable,
+    GeneratorSpec,
+    Gf2Poly,
+    ccsg_generate,
+    full_attack,
+    is_primitive,
+    phase1_reconstruct,
+    phase2_search,
+    shrink_generate,
+)
+from shrinkca.linearize import linearize_model  # noqa: E402
+
+COUNT = 3000
+SEED = "differential"
+
+
+def _primitive(rng: random.Random, m: int) -> Gf2Poly:
+    while True:
+        p = Gf2Poly(1 << m | rng.getrandbits(m) | 1)
+        if is_primitive(p):
+            return p
+
+
+def _seed(rng: random.Random, n: int) -> tuple[int, ...]:
+    while True:
+        bits = tuple(rng.getrandbits(1) for _ in range(n))
+        if any(bits):
+            return bits
+
+
+def _instance(rng: random.Random) -> tuple[GeneratorSpec, BitSeq]:
+    l1 = rng.randint(1, 9)
+    l2 = rng.choice([m for m in range(l1 + 1, 14) if math.gcd(l1, m) == 1])
+    w = min(rng.choice((0, 1, 2, l1)), l1)
+    taps = tuple(sorted(rng.sample(range(l1), w)))
+    public = GeneratorSpec(l1, l2, _primitive(rng, l1), _primitive(rng, l2), taps=taps)
+    d = 1 << (l1 - 1)
+    r = rng.randint(d, 8 * d)
+    if rng.random() < 0.4:
+        return public, BitSeq([rng.getrandbits(1) for _ in range(r)])
+    generate = ccsg_generate if taps else shrink_generate
+    return public, generate(public.with_seeds(_seed(rng, l1), _seed(rng, l2)), r)
+
+
+def _outcome(fn, *args) -> tuple[object, str]:
+    """(fn's value, ""), or (None, the type and text of the exception it raised)."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # every failure is part of the output under test
+        return None, f"{type(exc).__name__}: {exc}"
+    return value, ""
+
+
+def _attack_text(public: GeneratorSpec, intercepted: BitSeq) -> str:
+    def phases():
+        model = linearize_model(public.l1, public.c2, len(public.taps))
+        table = FieldTable.build(model.base)
+        known, records = phase1_reconstruct(intercepted, model.pair, public.l1, table)
+        lines = [repr(records)]
+        lines += [f"{p} {known.get(p)} {known.provenance(p)}" for p in known.positions()]
+        found, error = _outcome(phase2_search, known, public, table)
+        if found is None:
+            lines.append(error)
+        else:
+            lines += [repr(found.candidates), str(found.nodes_expanded), repr(found.records)]
+        return "\n".join(lines)
+
+    text, error = _outcome(phases)
+    result, attack = _outcome(full_attack, intercepted, public)
+    if result is not None:
+        attack = repr(
+            (
+                result.is1,
+                result.is2,
+                result.reconstructed_positions,
+                result.nodes_expanded,
+                result.phase1_records,
+                result.phase2_records,
+            )
+        )
+    return f"{public.to_json()} {intercepted}\n{text or error}\n{attack}\n"
+
+
+def main() -> None:
+    warnings.simplefilter("ignore")  # l1 taps warn that the clock leaks SR1
+    rng = random.Random(SEED)
+    digest = hashlib.sha256()
+    for _ in range(COUNT):
+        digest.update(_attack_text(*_instance(rng)).encode())
+    print(digest.hexdigest())
+
+
+if __name__ == "__main__":
+    main()

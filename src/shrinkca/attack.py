@@ -17,8 +17,9 @@ consistent when merged into a GF(2) linear system over the column-0 seed
 (stage two).  Stage two eliminates only while that system is
 underdetermined: once l2 independent bits fix the seed, each further bit
 is one inner product to check.  SR1 is primitive, so every hypothesis's
-output is a window of one m-sequence period, and its column shifts are
-differences of one clock over that period, both built once per attack.
+output is a window of one m-sequence period, and the column shifts of every
+node, prefix or complete, are differences of one clock over that period,
+both built once per attack.
 Survivors are completed to SR2 seeds by solving that system at the
 decimation-inverse rows, then verified by regeneration.
 """
@@ -313,8 +314,8 @@ def _sr1_ring(c1: Gf2Poly) -> tuple[bytes, dict[bytes, int]]:
     return ring, {ring[i : i + l1]: i for i in range(nper)}
 
 
-def _sr1_clock(c1: Gf2Poly, taps: Sequence[int]) -> Callable[[bytes, int], Iterator[int]]:
-    """SR2's advance at SR1's 1s number start .. d - 1 of one period, from any seed.
+def _sr1_clock(c1: Gf2Poly, taps: Sequence[int]) -> Callable[..., Iterator[int]]:
+    """SR2's advance at SR1's 1s number start .. stop - 1 (stop <= d) of one period, from any seed.
 
     Each seed's SR1 output is a window of one ring (`_sr1_ring`), so its
     advances are differences of one clock over that ring: from the seed's
@@ -328,12 +329,21 @@ def _sr1_clock(c1: Gf2Poly, taps: Sequence[int]) -> Callable[[bytes, int], Itera
     ones = list(compress(range(len(ring)), ring))
     d = 1 << (c1.degree - 1)
 
-    def advances(seed: bytes, start: int) -> Iterator[int]:
+    def advances(seed: bytes, start: int, stop: int = d) -> Iterator[int]:
         at = ring_at[seed]
         k, base = bisect_left(ones, at), clock[at]
-        return (clock[i] - base for i in ones[k + start : k + d])
+        return (clock[i] - base for i in ones[k + start : k + stop])
 
     return advances
+
+
+def _columns_due(prefix: Sequence[int], taps: Sequence[int]) -> int:
+    """Columns an SR1 prefix of fewer than l1 bits makes due: its 1s at steps t <= len - max(taps).
+
+    Step t reads bit t + max(taps) at most, so the prefix fixes SR2's advance
+    up to there; a prefix shorter than max(taps) fixes none.
+    """
+    return sum(prefix[: max(len(prefix) - max(taps, default=0) + 1, 0)])
 
 
 def phase2_search(known: KnownBits, spec: GeneratorSpec, table: FieldTable) -> Phase2Result:
@@ -382,56 +392,37 @@ def phase2_search(known: KnownBits, spec: GeneratorSpec, table: FieldTable) -> P
         records.append(HypothesisRecord(prefix, cidx, shift, "accepted"))
         return merged
 
-    def flush(
-        bits: Sequence[int], sys: Gf2LinearSystem, next_col: int, prefix: tuple[int, ...]
-    ) -> tuple[Gf2LinearSystem | None, int]:
-        """Run the column checks the SR1 bits make due, in order.
+    def visit(a_bits: list[int], sys: Gf2LinearSystem, next_col: int) -> None:
+        """Check the columns SR1 bits a_bits make due, then place the next 1.
 
-        Column c belongs to SR1's c-th 1; it is due once the bits fix SR2's
-        advance up to that step.  Returns (system or None, next column).
+        Column c belongs to SR1's c-th 1; a complete hypothesis makes every
+        column due.  The clock reads a prefix at the prefix padded with 0s
+        to a seed, whose SR1 output starts with the prefix.
         """
-        adv = clock_advances(bits, spec.taps)
-        due = list(compress(adv, bits))[:d]
-        for col in range(next_col, len(due)):
-            nxt = check_column(col, due[col] * inv % nrows, sys, prefix)
-            if nxt is None:
-                return None, col
-            sys = nxt
-        return sys, len(due)
-
-    def complete(a_bits: list[int], sys: Gf2LinearSystem, next_col: int) -> None:
         nonlocal nodes
-        nodes += 1
-        is1 = tuple(a_bits)
-        for col, adv in enumerate(advances(bytes(a_bits), next_col), next_col):
-            nxt = check_column(col, adv * inv % nrows, sys, is1)
-            if nxt is None:
+        k, prefix = len(a_bits), tuple(a_bits)
+        if k == l1:
+            nodes += 1
+        stop = d if k == l1 else _columns_due(a_bits, spec.taps)
+        seed = bytes(a_bits + [0] * (l1 - k))
+        for col, adv in enumerate(advances(seed, next_col, stop), next_col):
+            sys = check_column(col, adv * inv % nrows, sys, prefix)
+            if sys is None:
                 return
-            sys = nxt
+        if k < l1:
+            for pos in range(k, l1):
+                visit(a_bits + [0] * (pos - k) + [1], sys, stop)
+            visit(a_bits + [0] * (l1 - k), sys, stop)
+            return
         # the forms at jrows are lambda^0 .. lambda^(l2-1), a basis: distinct
         # solutions give distinct seeds
         for sol in sys.solutions():
             is2 = tuple((form(j) & sol).bit_count() & 1 for j in jrows)
             if any(is2):
-                candidates.append((is1, is2))
-                records.append(HypothesisRecord(is1, None, None, "survivor"))
+                candidates.append((prefix, is2))
+                records.append(HypothesisRecord(prefix, None, None, "survivor"))
 
-    def descend(a_bits: list[int], sys: Gf2LinearSystem, next_col: int) -> None:
-        filled = len(a_bits)
-        for pos in range(filled, l1):
-            branch = a_bits + [0] * (pos - filled) + [1]
-            if len(branch) == l1:
-                complete(branch, sys, next_col)
-                continue
-            sys2, ncol = flush(branch, sys, next_col, tuple(branch))
-            if sys2 is None:
-                continue
-            descend(branch, sys2, ncol)
-        complete(a_bits + [0] * (l1 - filled), sys, next_col)
-
-    start_sys, start_col = flush([1], base_sys, 0, (1,))
-    if start_sys is not None:
-        descend([1], start_sys, start_col)
+    visit([1], base_sys, 0)
     if not candidates:
         raise Exhausted("no SR1/SR2 seed pair survives the column checks")
     return Phase2Result(candidates, nodes, tuple(records))

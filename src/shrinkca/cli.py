@@ -13,13 +13,22 @@ import argparse
 import functools
 import json
 import sys
-from itertools import islice
 from typing import Sequence
 
 from .attack import Ambiguous, ConflictingReconstruction, Exhausted, full_attack
-from .engines import BitSeq, CaState, LfsrState, _ca_states, _lfsr_seed_at, _seed_to_int, lfsr_bytes
+from .engines import (
+    BitSeq,
+    CaState,
+    LfsrState,
+    _ca_state_at,
+    _ca_states,
+    _lfsr_seed_at,
+    _seed_to_int,
+    lfsr_bytes,
+)
 from .generators import (
     GeneratorSpec,
+    _check_degree,
     _check_shape,
     _json_bits,
     _json_int,
@@ -67,14 +76,17 @@ def _required_bits(data: dict, key: str) -> tuple[int, ...]:
 def _cmd_generate(args: argparse.Namespace) -> int:
     data = _load_json(args.spec)
     if args.kind == "lfsr":
-        reg = LfsrState(_json_poly(data, "c1", _json_int(data, "l1")), _required_bits(data, "is1"))
+        l1 = _json_int(data, "l1")
+        c1 = _json_poly(data, "c1", l1)
+        _check_degree("c1", c1, l1)
+        reg = LfsrState(c1, _required_bits(data, "is1"))
         seed = _lfsr_seed_at(reg.charpoly, reg.seed, args.origin)
         bits = BitSeq._adopt(lfsr_bytes(reg.charpoly, seed, args.bits), args.origin)
     elif args.kind == "ca":
         st = CaState(RuleVector(_required_bits(data, "rules")), _required_bits(data, "cells"))
-        states = _ca_states(st.rules, _seed_to_int(st.cells), args.origin + args.bits)
-        window = islice(states, args.origin, None)
-        bits = BitSeq._adopt(bytes(s & 1 for s in window), args.origin)  # bit 0 of a state is cell 1
+        start = _ca_state_at(st.rules, _seed_to_int(st.cells), args.origin)
+        states = _ca_states(st.rules, start, args.bits)
+        bits = BitSeq._adopt(bytes(s & 1 for s in states), args.origin)  # bit 0 of a state is cell 1
     else:
         gen = shrink_generate if args.kind == "shrink" else ccsg_generate
         bits = gen(GeneratorSpec.from_json(data), args.bits, origin=args.origin)

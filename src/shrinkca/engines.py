@@ -251,6 +251,21 @@ def _ca_states(rules: RuleVector, state: int, steps: int) -> Iterator[int]:
         state = ((state << 1) & full) ^ (state >> 1) ^ (state & r)
 
 
+def _ca_state_at(rules: RuleVector, state: int, step: int) -> int:
+    """The automaton's state at time `step` from `state`, without the steps between.
+
+    The update matrix M satisfies its characteristic polynomial p =
+    rules.char_poly() (Cayley-Hamilton), so M^step = r(M) for r = x^step mod p:
+    the state is the XOR of the states at times i < L over r's exponents i.
+    """
+    r = _pow_mod(2, step, rules.char_poly().mask)
+    out = 0
+    for i, s in enumerate(_ca_states(rules, state, len(rules))):
+        if r >> i & 1:
+            out ^= s
+    return out
+
+
 def ca_step(state: CaState) -> CaState:
     """One synchronous update: cell i becomes left + right (+ self under rule 150)."""
     _, nxt = _ca_states(state.rules, _seed_to_int(state.cells), 2)

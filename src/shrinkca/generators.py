@@ -76,10 +76,15 @@ def _json_taps(data: dict) -> tuple[int, ...]:
     return tuple(taps)
 
 
+def _check_degree(key: str, poly: Gf2Poly, length: int) -> None:
+    """c1 or c2 (key) must have its register's length, l1 or l2, as its degree."""
+    if poly.degree != length:
+        raise ValueError(f"{key} degree {poly.degree} != l{key[1]} {length}")
+
+
 def _check_shape(l1: int, l2: int, c2: Gf2Poly, taps: Sequence[int]) -> None:
     """The rules on l1, l2, c2's degree and the clock taps, which linearize applies too."""
-    if c2.degree != l2:
-        raise ValueError(f"c2 degree {c2.degree} != l2 {l2}")
+    _check_degree("c2", c2, l2)
     if l1 < 1:
         raise ValueError("l1 must be >= 1")
     if l2 <= l1:
@@ -111,8 +116,7 @@ class GeneratorSpec:
 
     def __post_init__(self) -> None:
         _check_shape(self.l1, self.l2, self.c2, self.taps)
-        if self.c1.degree != self.l1:
-            raise ValueError(f"c1 degree {self.c1.degree} != l1 {self.l1}")
+        _check_degree("c1", self.c1, self.l1)
         for name, poly in (("c1", self.c1), ("c2", self.c2)):
             if not is_primitive(poly):
                 raise NonPrimitiveModulus(f"{name} = {poly.to_text()} is not primitive")

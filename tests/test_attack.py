@@ -14,6 +14,7 @@ from shrinkca.attack import (
     NonInvertible,
     Phase1Record,
     _column_span,
+    _columns_due,
     _span_masks,
     _sr1_clock,
     _sr1_ring,
@@ -357,18 +358,23 @@ class TestSr1Ring:
                 assert ring[at : at + nper + l1] == lfsr_bytes(c1, seed, nper + l1), (c1, seed)
 
 
+def clock_cases(l1: int):
+    """(c1, taps) for three primitive c1 of degree l1 and the tap sets the attack meets."""
+    polys = [
+        p
+        for p in (Gf2Poly(1 << l1 | mask) for mask in range(1, 1 << l1, 2))
+        if is_primitive(p)
+    ][:3]
+    tap_sets = {(), (l1 - 1,), (0, l1 - 1), tuple(range(l1))}
+    return itertools.product(polys, sorted(tap_sets))
+
+
 class TestSr1Clock:
     @pytest.mark.parametrize("l1", range(1, 9))
     def test_leaf_advances_match_own_window(self, l1):
         # the per-attack clock against clock_advances on the seed's own SR1 output
-        polys = [
-            p
-            for p in (Gf2Poly(1 << l1 | mask) for mask in range(1, 1 << l1, 2))
-            if is_primitive(p)
-        ][:3]
         nper, d = (1 << l1) - 1, 1 << (l1 - 1)
-        tap_sets = {(), (l1 - 1,), (0, l1 - 1), tuple(range(l1))}
-        for c1, taps in itertools.product(polys, sorted(tap_sets)):
+        for c1, taps in clock_cases(l1):
             ring, offsets = _sr1_ring(c1)
             advances = _sr1_clock(c1, taps)
             for seed in nonzero_seeds(l1):
@@ -379,6 +385,23 @@ class TestSr1Clock:
                 for start in (0, 1, d - 1):
                     got = list(advances(bytes(seed), start))
                     assert got == due[start:], (c1, taps, seed, start)
+
+    @pytest.mark.parametrize("l1", range(2, 9))
+    def test_prefix_advances_match_own_bits(self, l1):
+        # a prefix the search visits reads its due columns at the prefix padded
+        # to a seed, against clock_advances on the prefix's own bits; prefixes
+        # shorter than max(taps) make no column due
+        d = 1 << (l1 - 1)
+        for c1, taps in clock_cases(l1):
+            advances = _sr1_clock(c1, taps)
+            for k in range(1, l1):
+                for rest in itertools.product((0, 1), repeat=k - 1):
+                    prefix = (1, *rest)
+                    due = list(itertools.compress(clock_advances(prefix, taps), prefix))[:d]
+                    stop = _columns_due(prefix, taps)
+                    assert stop == len(due), (c1, taps, prefix)
+                    seed = bytes(prefix + (0,) * (l1 - k))
+                    assert list(advances(seed, 0, stop)) == due, (c1, taps, prefix)
 
 
 class TestFullAttack:

@@ -9,9 +9,9 @@ import pytest
 
 import shrinkca
 from shrinkca.cli import _build_parser, main
-from shrinkca.engines import lfsr_bit_iter, solve_cell_seed
+from shrinkca.engines import CaState, ca_generate, lfsr_bit_iter, solve_cell_seed
 from shrinkca.generators import GeneratorSpec, _clocked_steps
-from shrinkca.gf2 import Gf2Poly, _pow_mod, is_primitive
+from shrinkca.gf2 import Gf2Poly, RuleVector, _pow_mod, is_primitive
 from shrinkca.linearize import MAX_CELLS, linearize_generator, linearize_model
 
 EXAMPLE1 = {"l1": 3, "l2": 4, "c1": "0,2,3", "c2": "0,1,4", "is1": "100", "is2": "1000"}
@@ -223,6 +223,17 @@ class TestGenerate:
         )
         assert code == 2
         assert f"{key} exponents must lie in" in err
+
+    def test_lfsr_checks_c1_degree_as_shrink_does(self, capsys, spec_file):
+        data = {"l1": 5, "l2": 7, "c1": "0,1,3", "c2": "0,1,7", "is1": "101", "is2": "1000000"}
+        errors = []
+        for kind in ("shrink", "lfsr"):
+            code, out, err = run(
+                capsys, "generate", "--spec", spec_file(data), "--kind", kind, "--bits", "8"
+            )
+            assert (code, out) == (2, "")
+            errors.append(err.splitlines()[0])
+        assert errors == ["error: c1 degree 3 != l1 5"] * 2
 
     def test_lfsr_reads_only_c1_and_is1(self, capsys, spec_file):
         spec = spec_file({"l1": 3, "c": "0,2,3", "seed": "100"})
@@ -641,3 +652,18 @@ class TestCostFollowsOutput:
         sr1 = lfsr_bit_iter(Gf2Poly.parse(data["c1"]), tuple(map(int, data["is1"])))
         start = origin % 15
         assert proc.stdout == "".join(map(str, islice(sr1, start, start + 64))) + "\n"
+
+    def test_generate_ca_far_origin_jumps(self, tmp_path):
+        # a primitive characteristic polynomial gives every nonzero state
+        # period 2^16 - 1, so stepping from origin mod that is the reference
+        data = {"rules": "1010100000000000", "cells": "1011001110001111"}
+        rules = RuleVector.from_string(data["rules"])
+        assert is_primitive(rules.char_poly())
+        origin = 1 << 40
+        proc = _run_capped(
+            tmp_path, data, ["generate", "--kind", "ca", "--bits", "64", "--origin", str(origin)]
+        )
+        assert proc.returncode == 0, proc.stderr
+        start = origin % ((1 << 16) - 1)
+        cell1 = ca_generate(CaState(rules, tuple(map(int, data["cells"]))), start + 64)[0]
+        assert proc.stdout == "".join(map(str, cell1[start:])) + "\n"
