@@ -1,13 +1,14 @@
-"""Differential digest: one sha256 over what the attack does on a seeded sample.
+"""Differential digests: sha256s over what the attack and the CLI do on seeded samples.
 
 Usage (from the repository root):
 
     python3 bench/differential.py
 
-Run it at two checkouts: a change that claims the attack's output is
+It prints two lines, `library <sha256>` and `cli <sha256>`. Run it at two
+checkouts: a change that claims the attack's output, or the CLI's, is
 byte-identical must print the same digest as its parent.
 
-The sample is COUNT instances drawn from random.Random(SEED). Each has l1
+The library sample is COUNT instances drawn from random.Random(SEED). Each has l1
 in 1..9, a coprime l2 in l1 + 1..13, primitive c1 and c2, 0, 1, 2 or l1
 clock taps, nonzero seeds, and an intercept of d..8d bits (d = 2^(l1-1));
 40 % of the intercepts are random bits, not keystream. The digest covers,
@@ -19,19 +20,28 @@ per instance and in order:
 
 and, wherever a step raises, the exception's type and text instead.
 
+The cli digest covers the command line: every request of perfbench's three
+workload schedules (seed CLI_SEED, CLI_CYCLES cycles each) goes through
+`cli.main` once to stdout and once with `--output`, and the digest covers
+each run's exit code, stderr, stdout and output-file bytes, in order.
+
 Stdlib only; not part of the tests or of BENCHMARK.json.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import math
 import random
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from shrinkca import (  # noqa: E402
     BitSeq,
@@ -45,10 +55,14 @@ from shrinkca import (  # noqa: E402
     phase2_search,
     shrink_generate,
 )
+from shrinkca import cli  # noqa: E402
 from shrinkca.linearize import linearize_model  # noqa: E402
+from workloads import WORKLOADS, Schedule  # noqa: E402
 
 COUNT = 3000
 SEED = "differential"
+CLI_SEED = 903
+CLI_CYCLES = 3
 
 
 def _primitive(rng: random.Random, m: int) -> Gf2Poly:
@@ -118,13 +132,46 @@ def _attack_text(public: GeneratorSpec, intercepted: BitSeq) -> str:
     return f"{public.to_json()} {intercepted}\n{text or error}\n{attack}\n"
 
 
-def main() -> None:
-    warnings.simplefilter("ignore")  # l1 taps warn that the clock leaks SR1
+def _cli_run(argv: list[str], output: Path | None) -> bytes:
+    """Exit code, stderr, stdout and output-file bytes of one `cli.main` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    written = output.read_bytes() if output is not None and output.exists() else b""
+    if output is not None:
+        output.unlink(missing_ok=True)
+    parts = [str(code).encode(), err.getvalue().encode(), out.getvalue().encode(), written]
+    return b"".join(len(part).to_bytes(8, "big") + part for part in parts)
+
+
+def cli_digest() -> str:
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, wl in WORKLOADS.items():
+            workdir = Path(tmp) / name
+            workdir.mkdir()
+            sched = Schedule(wl, CLI_SEED, workdir)
+            for index in range(CLI_CYCLES):
+                for req in sched.cycle(index):
+                    output = workdir / "out"
+                    argv = req.argv(output)
+                    digest.update(_cli_run(argv[:-2], None))  # argv ends in --output, path
+                    digest.update(_cli_run(argv, output))
+    return digest.hexdigest()
+
+
+def library_digest() -> str:
     rng = random.Random(SEED)
     digest = hashlib.sha256()
     for _ in range(COUNT):
         digest.update(_attack_text(*_instance(rng)).encode())
-    print(digest.hexdigest())
+    return digest.hexdigest()
+
+
+def main() -> None:
+    warnings.simplefilter("ignore")  # l1 taps warn that the clock leaks SR1
+    print(f"library {library_digest()}")
+    print(f"cli     {cli_digest()}")
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ decimation-inverse rows, then verified by regeneration.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,7 +36,7 @@ from typing import Callable, Iterator, Sequence
 from .engines import BitSeq, lfsr_bytes
 from .generators import GeneratorSpec, _interleave, clock_advances
 from .gf2 import FieldTable, Gf2LinearSystem, Gf2Poly, RuleVector
-from .linearize import coset_exponent, linearize_model
+from .linearize import DegenerateCoset, coset_exponent, linearize_model
 
 __all__ = [
     "Exhausted",
@@ -450,7 +451,9 @@ class AttackResult:
 def full_attack(intercepted: BitSeq, spec: GeneratorSpec) -> AttackResult:
     """Recover both seeds from an intercepted prefix and public parameters.
 
-    Raises Exhausted when nothing fits (e.g. tampered material),
+    Raises DegenerateCoset when the coset base is not primitive (the
+    exponent shares a factor with 2^l2 - 1), before any field is built;
+    Exhausted when nothing fits (e.g. tampered material),
     Ambiguous when several seed pairs fit, ConflictingReconstruction when
     phase 1 derives contradictory bits.  The result's keystream is not
     built here: reading it regenerates the period.
@@ -460,6 +463,13 @@ def full_attack(intercepted: BitSeq, spec: GeneratorSpec) -> AttackResult:
     if len(intercepted) < d:
         raise ValueError(f"need at least {d} intercepted bits, got {len(intercepted)}")
     model = linearize_model(spec.l1, spec.c2, len(spec.taps))
+    e = coset_exponent(spec.l1, len(spec.taps))
+    shared = math.gcd(e, (1 << spec.l2) - 1)
+    if shared != 1:  # lambda^e then has order below 2^l2 - 1
+        raise DegenerateCoset(
+            f"coset base {model.base.to_text()} of exponent {e} over c2 = {spec.c2.to_text()}"
+            f" is not primitive: gcd({e}, 2^{spec.l2} - 1) = {shared}"
+        )
     table = FieldTable.build(model.base)
     known, p1records = phase1_reconstruct(intercepted, model.pair, spec.l1, table)
     result = phase2_search(known, spec, table)

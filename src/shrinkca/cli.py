@@ -17,6 +17,7 @@ from typing import Sequence
 
 from .attack import Ambiguous, ConflictingReconstruction, Exhausted, full_attack
 from .engines import (
+    _DIGITS,
     BitSeq,
     CaState,
     LfsrState,
@@ -51,12 +52,14 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(chunks: Sequence[bytes], output: str | None) -> None:
+    """Write ASCII chunks in order: to the file as bytes, or to stdout as text."""
     if output is None:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk.decode("ascii"))
     else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(output, "wb") as fh:
+            fh.writelines(chunks)
 
 
 def _bits_arg(value: str) -> int:
@@ -90,7 +93,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     else:
         gen = shrink_generate if args.kind == "shrink" else ccsg_generate
         bits = gen(GeneratorSpec.from_json(data), args.bits, origin=args.origin)
-    _emit(f"{bits}\n", args.output)
+    _emit((bits.raw.translate(_DIGITS), b"\n"), args.output)
     return 0
 
 
@@ -105,7 +108,7 @@ def _cmd_linearize(args: argparse.Namespace) -> int:
             print(f"automaton {idx + 1} concatenation chain:", file=sys.stderr)
             for step, rv in enumerate(chain):
                 print(f"  step {step}: {rv} {rv.to_hex()}", file=sys.stderr)
-    _emit("".join(f"{rv} {rv.to_hex()}\n" for rv in model.pair), args.output)
+    _emit([f"{rv} {rv.to_hex()}\n".encode() for rv in model.pair], args.output)
     return 0
 
 
@@ -132,11 +135,15 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     payload = {
         "is1": "".join(map(str, result.is1)),
         "is2": "".join(map(str, result.is2)),
-        "keystream": str(result.keystream),
+        "keystream": "",
         "reconstructed_positions": list(result.reconstructed_positions),
         "nodes_expanded": result.nodes_expanded,
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.output)
+    # The period's digits go between the two halves of the JSON, with no escaping
+    # pass or str copy; is1 and is2 are digits, so the key's first match is its own.
+    head, key, tail = json.dumps(payload, indent=2).partition('"keystream": "')
+    digits = result.keystream.raw.translate(_DIGITS)
+    _emit(((head + key).encode(), digits, (tail + "\n").encode()), args.output)
     return 0
 
 

@@ -62,6 +62,8 @@ class DegenerateCoset(ValueError):
 
     The decimated stream then lives in a proper subfield and the usual
     length bookkeeping breaks down; such parameter sets are rejected.
+    full_attack raises it too when the coset is full but its base is not
+    primitive, since the attack's field is built over that base.
     """
 
 

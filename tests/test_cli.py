@@ -8,9 +8,10 @@ from itertools import combinations_with_replacement, islice
 import pytest
 
 import shrinkca
+from shrinkca.attack import full_attack
 from shrinkca.cli import _build_parser, main
-from shrinkca.engines import CaState, ca_generate, lfsr_bit_iter, solve_cell_seed
-from shrinkca.generators import GeneratorSpec, _clocked_steps
+from shrinkca.engines import BitSeq, CaState, ca_generate, lfsr_bit_iter, solve_cell_seed
+from shrinkca.generators import GeneratorSpec, _clocked_steps, ccsg_generate, shrink_generate
 from shrinkca.gf2 import Gf2Poly, RuleVector, _pow_mod, is_primitive
 from shrinkca.linearize import MAX_CELLS, linearize_generator, linearize_model
 
@@ -500,6 +501,83 @@ class TestAttack:
         )
         assert code == 0
         assert json.loads(out)["is1"] == "1001"
+
+
+    def test_coset_base_not_primitive_is_refused(self, capsys, spec_file):
+        # E = 35 shares the factor 5 with 2^8 - 1: the coset is full, its base is not primitive
+        spec = spec_file({"l1": 3, "l2": 8, "c1": "0,2,3", "c2": "0,1,2,3,6,7,8", "taps": [0, 1, 2]})
+        with pytest.warns(UserWarning, match="tap count equals"):
+            code, out, err = run(capsys, "attack", "--spec", spec, "--intercepted", "1" * 12)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: coset base 0,1,2,3,4,7,8 of exponent 35 over c2 = 0,1,2,3,6,7,8"
+            " is not primitive: gcd(35, 2^8 - 1) = 5\n"
+        )
+        code, out, err = run(capsys, "linearize", "--spec", spec)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 2
+
+
+TAPPED_5_13 = {"l1": 5, "l2": 13, "c1": "0,2,5", "c2": "0,1,3,4,13", "taps": [0, 3]}
+
+
+def report_oracle(public: dict, intercepted: str) -> bytes:
+    """The attack report as the CLI formatted it with str() and one json.dumps."""
+    result = full_attack(BitSeq.parse(intercepted), GeneratorSpec.from_json(public))
+    payload = {
+        "is1": "".join(map(str, result.is1)),
+        "is2": "".join(map(str, result.is2)),
+        "keystream": str(result.keystream),
+        "reconstructed_positions": list(result.reconstructed_positions),
+        "nodes_expanded": result.nodes_expanded,
+    }
+    return (json.dumps(payload, indent=2) + "\n").encode()
+
+
+class TestOutputBytes:
+    """stdout and --output carry the same bytes, and the report those of the old formatter."""
+
+    def both_ways(self, capsys, tmp_path, *argv) -> bytes:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        target = tmp_path / "out"
+        assert run(capsys, *argv, "--output", str(target)) == (0, "", "")
+        written = target.read_bytes()
+        assert written == out.encode()
+        return written
+
+    @pytest.mark.parametrize(
+        "public,seeds",
+        [(PUBLIC53, ("1001", "10101")), (TAPPED_5_13, ("10011", "1111011000001"))],
+        ids=["4-5-0", "5-13-2"],
+    )
+    def test_attack_report_matches_the_oracle(self, capsys, spec_file, tmp_path, public, seeds):
+        secret = GeneratorSpec.from_json(dict(public, is1=seeds[0], is2=seeds[1]))
+        gen = ccsg_generate if public.get("taps") else shrink_generate
+        intercepted = str(gen(secret, 48))
+        argv = ["attack", "--spec", spec_file(public), "--intercepted", intercepted]
+        assert self.both_ways(capsys, tmp_path, *argv) == report_oracle(public, intercepted)
+
+    @pytest.mark.parametrize("bits", ["0", "13"])
+    @pytest.mark.parametrize(
+        "kind,data",
+        [
+            ("shrink", EXAMPLE1),
+            ("ccsg", EXAMPLE2),
+            ("lfsr", EXAMPLE1),
+            ("ca", {"rules": "0111001110", "cells": "0001110110"}),
+        ],
+    )
+    def test_generate(self, capsys, spec_file, tmp_path, kind, data, bits):
+        argv = ["generate", "--spec", spec_file(data), "--kind", kind, "--bits", bits]
+        out = self.both_ways(capsys, tmp_path, *argv, "--origin", "2")
+        assert len(out) == int(bits) + 1 and out.endswith(b"\n")
+
+    @pytest.mark.parametrize("data", [PUBLIC53, TAPPED_5_13], ids=["4-5-0", "5-13-2"])
+    def test_linearize(self, capsys, spec_file, tmp_path, data):
+        out = self.both_ways(capsys, tmp_path, "linearize", "--spec", spec_file(data))
+        model = linearize_model(data["l1"], Gf2Poly.parse(data["c2"]), len(data.get("taps", [])))
+        assert out == b"".join(f"{rv} {rv.to_hex()}\n".encode() for rv in model.pair)
 
 
 @pytest.mark.parametrize(
