@@ -23,6 +23,9 @@ One run times each layer the attack goes through, called on its own in
 - full_attack: the whole attack, in the same process, with its report unread
   and `is_primitive`'s cache cleared first, so it proves c1, c2 and the base
   again, as a CLI attack on a fresh spec does
+- report: the CLI's write of the recovered period, streamed as ASCII digit
+  blocks (`AttackResult.keystream_blocks`) to os.devnull by the CLI's own
+  writer; timed only when full_attack recovers
 
 Rungs with l2 above the field cap (gf2.MAX_FIELD_DEGREE) time linearize
 and min_poly only, since neither builds a field: the attack refuses them,
@@ -68,7 +71,16 @@ RUNGS = (
     (3, 31, 0),
     (3, 61, 0),
 )
-LAYERS = ("linearize", "min_poly", "field", "phase1", "phase2", "regeneration", "full_attack")
+LAYERS = (
+    "linearize",
+    "min_poly",
+    "field",
+    "phase1",
+    "phase2",
+    "regeneration",
+    "full_attack",
+    "report",
+)
 RUNS = 7
 CAP_S = 60
 
@@ -112,6 +124,8 @@ def _one_run(l1: int, l2: int, w: int) -> tuple[dict[str, float], str]:
         phase1_reconstruct,
         phase2_search,
     )
+    from shrinkca.cli import _emit
+    from shrinkca.engines import _DIGITS
     from shrinkca.gf2 import MAX_FIELD_DEGREE
 
     public, planted, intercepted, generate = _instance(l1, l2, w)
@@ -138,7 +152,10 @@ def _one_run(l1: int, l2: int, w: int) -> tuple[dict[str, float], str]:
         result = timed("full_attack", full_attack, intercepted, public)
     except Exception as exc:  # an attack that does not recover is recorded, not fatal
         return times, type(exc).__name__
-    return times, "recovered" if (result.is1, result.is2) == planted else "wrong seeds"
+    if (result.is1, result.is2) != planted:
+        return times, "wrong seeds"
+    timed("report", lambda: _emit(result.keystream_blocks(_DIGITS), os.devnull))
+    return times, "recovered"
 
 
 def _rung(l1: int, l2: int, w: int) -> dict:

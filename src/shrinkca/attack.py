@@ -31,10 +31,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .engines import BitSeq, lfsr_bytes
-from .generators import GeneratorSpec, _interleave, clock_advances
+from .generators import GeneratorSpec, _interleave, _joined, _window, clock_advances
 from .gf2 import FieldTable, Gf2LinearSystem, Gf2Poly, RuleVector
 from .linearize import DegenerateCoset, coset_exponent, linearize_model
 
@@ -367,6 +367,7 @@ def phase2_search(known: KnownBits, spec: GeneratorSpec, table: FieldTable) -> P
     # pn row q as a linear form over the column-0 seed (pn_0 .. pn_(l2-1)):
     # the coefficients of x^q mod base, which is alpha^q; hypotheses revisit rows
     form = lru_cache(maxsize=None)(table.element)
+    top, modulus = 1 << table.m, table.modulus.mask
 
     base_sys = Gf2LinearSystem(l2)
     for q, bit in base_rows.items():
@@ -385,9 +386,18 @@ def phase2_search(known: KnownBits, spec: GeneratorSpec, table: FieldTable) -> P
             if base_rows.get((q + shift) % nrows, bit) != bit:
                 records.append(HypothesisRecord(prefix, cidx, shift, "rejected", q))
                 return None
-        merged = sys.copy()
+        # a determined system is only evaluated, never changed, so it is shared
+        merged = sys if sys.solution is not None else sys.copy()
+        prev, vec = -2, 0
         for q, bit in colbits:
-            if not merged.add(form((q + shift) % nrows), bit):
+            if q == prev + 1:  # the next row along a run: form(q + shift) = x form(q - 1 + shift)
+                vec <<= 1
+                if vec & top:
+                    vec ^= modulus
+            else:
+                vec = form((q + shift) % nrows)
+            prev = q
+            if not merged.add(vec, bit):
                 records.append(HypothesisRecord(prefix, cidx, shift, "rejected", q))
                 return None
         records.append(HypothesisRecord(prefix, cidx, shift, "accepted"))
@@ -441,11 +451,25 @@ class AttackResult:
     phase2_records: tuple[HypothesisRecord, ...]
     spec: GeneratorSpec
 
+    def keystream_blocks(self, table: bytes | None = None) -> Iterable[bytes]:
+        """One full keystream period from the recovered seeds, in consecutive blocks of rows.
+
+        Regenerated on each call: the SR2 period and its decimated column are
+        built before this returns, and each block as it is read, so the
+        period is never held whole.  The blocks are 0/1 bytes, or with a
+        table (as for bytes.translate) its images of 0 and 1.
+        """
+        spec = self.spec.with_seeds(self.is1, self.is2)
+        return _window(spec, ((1 << spec.l2) - 1) << (spec.l1 - 1), 0, table)
+
     @property
     def keystream(self) -> BitSeq:
-        """One full keystream period from the recovered seeds, regenerated on each read."""
-        spec = self.spec.with_seeds(self.is1, self.is2)
-        return _interleave(spec, ((1 << spec.l2) - 1) << (spec.l1 - 1))
+        """One full keystream period, d (2^l2 - 1) bits, regenerated on each read.
+
+        It is `keystream_blocks()` joined into one BitSeq, so a read holds the
+        period at one byte a bit; the CLI writes the blocks instead.
+        """
+        return _joined(self.keystream_blocks(), 0)
 
 
 def full_attack(intercepted: BitSeq, spec: GeneratorSpec) -> AttackResult:

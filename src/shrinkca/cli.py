@@ -13,7 +13,8 @@ import argparse
 import functools
 import json
 import sys
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 from .attack import Ambiguous, ConflictingReconstruction, Exhausted, full_attack
 from .engines import (
@@ -52,7 +53,7 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _emit(chunks: Sequence[bytes], output: str | None) -> None:
+def _emit(chunks: Iterable[bytes], output: str | None) -> None:
     """Write ASCII chunks in order: to the file as bytes, or to stdout as text."""
     if output is None:
         for chunk in chunks:
@@ -139,11 +140,11 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         "reconstructed_positions": list(result.reconstructed_positions),
         "nodes_expanded": result.nodes_expanded,
     }
-    # The period's digits go between the two halves of the JSON, with no escaping
-    # pass or str copy; is1 and is2 are digits, so the key's first match is its own.
+    # The period's digits go between the two halves of the JSON, block by block,
+    # with no joined copy; is1 and is2 are digits, so the key's first match is its own.
     head, key, tail = json.dumps(payload, indent=2).partition('"keystream": "')
-    digits = result.keystream.raw.translate(_DIGITS)
-    _emit(((head + key).encode(), digits, (tail + "\n").encode()), args.output)
+    digits = result.keystream_blocks(_DIGITS)
+    _emit(chain([(head + key).encode()], digits, [(tail + "\n").encode()]), args.output)
     return 0
 
 

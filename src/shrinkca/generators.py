@@ -15,12 +15,13 @@ identically 1, which is the plain generator again.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import accumulate, compress
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .engines import BitSeq, ZeroSeed, _lfsr_seed_at, lfsr_bit_iter, lfsr_bytes
 from .gf2 import Gf2Poly, NonPrimitiveModulus, is_primitive
@@ -212,7 +213,7 @@ def clock_advances(a: Sequence[int], taps: Sequence[int]) -> list[int]:
     return list(accumulate(steps, initial=0))
 
 
-def _walk(buf: bytes, start: int, stride: int, count: int) -> bytes:
+def _walk(buf: bytes, start: int, stride: int, count: int) -> bytearray:
     """buf[(start + k * stride) % len(buf)] for k < count, one slice per wrap."""
     parts = []
     while count:
@@ -220,11 +221,27 @@ def _walk(buf: bytes, start: int, stride: int, count: int) -> bytes:
         parts.append(part)
         count -= len(part)
         start += len(part) * stride - len(buf)
-    return b"".join(parts)
+    return bytearray().join(parts)
 
 
-def _interleave(spec: GeneratorSpec, n: int, origin: int = 0) -> BitSeq:
-    """Keystream bits origin .. origin + n - 1, one interleaving column at a time.
+# A window that wraps SR2's period is built in blocks of rows: about
+# _BLOCK_BYTES of output each, and never fewer than _BLOCK_ROWS rows, since
+# every block costs one slice per column.  Writing the (13, 14) period, 64 rows
+# a block took 30 % longer than 256 and 1024 rows 80 % longer, while blocks of
+# 2^17 to 2^20 bytes cost the same from (3, 16) to (13, 14).
+_BLOCK_BYTES = 1 << 19
+_BLOCK_ROWS = 256
+
+
+def _window(
+    spec: GeneratorSpec, n: int, origin: int = 0, table: bytes | None = None
+) -> Iterable[bytes]:
+    """Keystream bits origin .. origin + n - 1 as consecutive blocks of 0/1 bytes.
+
+    With a translation table (as for bytes.translate) the blocks carry its
+    images of 0 and 1 instead.  Everything whose size follows SR2's period
+    is built before this returns; the blocks themselves are made as they
+    are read.
 
     Over one SR1 period of N1 = 2^l1 - 1 steps the d = 2^(l1-1) ones of
     SR1 fall where SR2 has advanced off_0 < ... < off_(d-1) positions, and
@@ -237,15 +254,17 @@ def _interleave(spec: GeneratorSpec, n: int, origin: int = 0) -> BitSeq:
     SR2 starts at the window's first row q0, step J = q0 * S mod P, from
     the seed x^J mod c2 applied to is2 (is2 itself when J = 0), so SR2 is
     run over the window's own span only, never over the rows it skips.  A
-    window whose column reads stay inside one SR2 period is one strided
-    slice per column.  Past one period, with g = gcd(S, P), the
+    window whose column reads stay inside one SR2 period is one block, one
+    strided slice per column.  Past one period, with g = gcd(S, P), the
     columns are rotations of the decimated columns
     v_rho[k] = sr2[(rho + k * S) mod P], one per residue rho mod g, each of
-    period P / g and built by one strided walk of one SR2 period: column c
-    starting at SR2 step t is v_rho rotated by
-    ((t - rho) / g) * (S / g)^-1 mod P / g, rho = t mod g.  S / g is
-    invertible mod P / g, since a prime dividing both would divide g once
-    more.  g is 1 whenever the attack's model applies.
+    period P / g and built by one strided walk of one SR2 period, after
+    which the SR2 period is dropped: column c starting at SR2 step t is
+    v_rho rotated by ((t - rho) / g) * (S / g)^-1 mod P / g, rho = t mod g.
+    S / g is invertible mod P / g, since a prime dividing both would divide
+    g once more.  g is 1 whenever the attack's model applies.  Each v_rho is
+    kept repeated, so any run of a block's rows is one slice of it, and
+    each block fills its rows of every column from those slices.
 
     SR1 is read only as far as the request needs: an m-sequence has no run
     of l1 zeros, so k * l1 bits hold its first k ones, and a window inside
@@ -258,7 +277,7 @@ def _interleave(spec: GeneratorSpec, n: int, origin: int = 0) -> BitSeq:
     _require_seeds(spec)
     assert spec.is1 is not None and spec.is2 is not None
     if not n:
-        return BitSeq(b"", origin)
+        return [b""]
     d, period, nper = 1 << (spec.l1 - 1), (1 << spec.l2) - 1, (1 << spec.l1) - 1
     first, col = divmod(origin % (d * period), d)
     rows = (col + n - 1) // d + 1
@@ -269,32 +288,68 @@ def _interleave(spec: GeneratorSpec, n: int, origin: int = 0) -> BitSeq:
     offsets, advance = list(compress(adv, a[:span]))[:width], adv[span]
     seed = _lfsr_seed_at(spec.c2, spec.is2, first * advance % period)
     last = offsets[-1] + (rows - 1) * advance
-    out = bytearray(rows * width)
     if last < period:
+        out = bytearray(rows * width)
         sr2 = lfsr_bytes(spec.c2, seed, last + 1)
         for c, off in enumerate(offsets):
             out[c::width] = sr2[off::advance]
-    else:
-        sr2 = lfsr_bytes(spec.c2, seed, period)
-        stride = advance % period
-        g = math.gcd(stride, period)
-        length = period // g
-        inv = pow(stride // g, -1, length)
-        doubled: dict[int, memoryview] = {}
-        for c, off in enumerate(offsets):
-            start = off % period
-            rho = start % g
-            if rho not in doubled:
-                column = _walk(sr2, rho, stride or period, length)
-                doubled[rho] = memoryview(column + column)
-            shift = (start - rho) // g * inv % length
-            if rows <= length:
-                out[c::width] = doubled[rho][shift : shift + rows]
-            else:
-                run = doubled[rho][shift : shift + length].tobytes()
-                out[c::width] = run * (rows // length) + run[: rows % length]
-    del out[col + n :], out[:col]
-    return BitSeq._adopt(bytes(out), origin)
+        del out[col + n :], out[:col]
+        return [bytes(out) if table is None else out.translate(table)]
+    sr2 = lfsr_bytes(spec.c2, seed, period)
+    stride = advance % period
+    g = math.gcd(stride, period)
+    length = period // g
+    inv = pow(stride // g, -1, length)
+    block = min(max(_BLOCK_BYTES // width, _BLOCK_ROWS), rows)
+    repeats = 1 + -(-block // length)  # a slice of block rows from any start < length
+    columns: dict[int, bytearray] = {}
+    starts = []
+    for off in offsets:
+        start = off % period
+        rho = start % g
+        if rho not in columns:
+            column = _walk(sr2, rho, stride or period, length)
+            if table is not None:
+                column = column.translate(table)
+            column *= repeats
+            columns[rho] = column
+        starts.append((columns[rho], (start - rho) // g * inv % length))
+    del sr2
+
+    def blocks() -> Iterator[bytearray]:
+        """Rows block at a time: column c's row q is column[(shift + q) % length]."""
+        for q0 in range(0, rows, block):
+            count = min(block, rows - q0)
+            out = bytearray(count * width)
+            for c, (column, shift) in enumerate(starts):
+                k = (shift + q0) % length
+                out[c::width] = column[k : k + count]
+            del out[col + n - q0 * width :]
+            if not q0:
+                del out[:col]
+            yield out
+            del out  # before the next block is made, so one block is alive at a time
+
+    return blocks()
+
+
+def _joined(blocks: Iterable[bytes], origin: int) -> BitSeq:
+    """The 0/1 blocks of `_window` (at least one) as one BitSeq starting at origin.
+
+    They are appended to one growing buffer, which getvalue hands over
+    uncopied, so a full period peaks near one byte a bit, where a join holds
+    the blocks and their copy; a window of one bytes block is that block.
+    """
+    blocks = iter(blocks)
+    buf = io.BytesIO(next(blocks))
+    buf.seek(0, io.SEEK_END)
+    buf.writelines(blocks)
+    return BitSeq._adopt(buf.getvalue(), origin)
+
+
+def _interleave(spec: GeneratorSpec, n: int, origin: int = 0) -> BitSeq:
+    """Keystream bits origin .. origin + n - 1: the blocks of `_window`, joined."""
+    return _joined(_window(spec, n, origin), origin)
 
 
 def shrink_generate(spec: GeneratorSpec, n: int, origin: int = 0) -> BitSeq:

@@ -4,11 +4,14 @@ Polynomials live in plain ints, one bit per degree: bit k holds the
 coefficient of x^k, so 0b100101 is 1 + x^2 + x^5.  The canonical text form
 is the comma-separated exponent list ("0,2,5").  Everything here is exact,
 desk-scale algebra.  FieldTable keeps no table of 2^m entries; it
-is refused above degree MAX_FIELD_DEGREE = 24, where the CLI attack's
-full-period report becomes the wall.  The report holds 2^(l1-1) (2^m - 1)
-bits at one byte each, written from the regenerated bytes; at l1 = 4,
-m = 23 (67 Mbit) a whole `attack --output` run took about 0.4 s and
-197 MiB peak RSS (Python 3.11, 2-vCPU VM), and both double per degree.
+is refused above degree MAX_FIELD_DEGREE = 24.  The CLI attack's
+full-period report of 2^(l1-1) (2^m - 1) bits no longer holds the period:
+it is written in blocks of rows from one SR2 period and its repeated
+decimated column.  At l1 = 4, m = 23 (67 Mbit) a whole `attack --output`
+run took 0.24 s and 62 MiB peak RSS, 24.6 MiB under tracemalloc, where
+holding the period took 0.54 s and 198 MiB (Python 3.11, 2-vCPU VM).  What
+is left is that SR2 column, about 3 bytes per SR2 bit at the peak, which
+doubles per degree: 6 GiB at m = 31.
 """
 
 from __future__ import annotations
@@ -589,6 +592,14 @@ class Gf2LinearSystem:
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+    @property
+    def solution(self) -> int | None:
+        """The unique solution once the rank is n, else None.
+
+        add never changes a determined system, so it can be shared, not copied.
+        """
+        return self._solution
 
     def _reduce(self, aug: int) -> int:
         coeff_mask = (1 << self.n) - 1

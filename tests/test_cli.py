@@ -1,7 +1,9 @@
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from itertools import combinations_with_replacement, islice
 
@@ -578,6 +580,58 @@ class TestOutputBytes:
         out = self.both_ways(capsys, tmp_path, "linearize", "--spec", spec_file(data))
         model = linearize_model(data["l1"], Gf2Poly.parse(data["c2"]), len(data.get("taps", [])))
         assert out == b"".join(f"{rv} {rv.to_hex()}\n".encode() for rv in model.pair)
+
+
+SECRET_6_17 = {
+    "l1": 6,
+    "l2": 17,
+    "c1": "0,1,6",
+    "c2": "0,3,17",
+    "is1": "100101",
+    "is2": "10110011100011110",
+}
+PUBLIC_6_17 = {k: v for k, v in SECRET_6_17.items() if k not in ("is1", "is2")}
+
+
+class TestStreamedReport:
+    """The (6, 17) report: 32 * (2^17 - 1) = 4.2 Mbit, written in 8 blocks of rows."""
+
+    PERIOD = 32 * ((1 << 17) - 1)
+
+    def argv(self, spec_file) -> list[str]:
+        intercepted = str(shrink_generate(GeneratorSpec.from_json(SECRET_6_17), 96))
+        return ["attack", "--spec", spec_file(PUBLIC_6_17), "--intercepted", intercepted]
+
+    def test_stdout_and_output_carry_the_keystream(self, capsys, spec_file, tmp_path):
+        argv = self.argv(spec_file)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        target = tmp_path / "report.json"
+        assert run(capsys, *argv, "--output", str(target)) == (0, "", "")
+        assert target.read_bytes() == out.encode()
+        report = json.loads(out)
+        assert (report["is1"], report["is2"]) == (SECRET_6_17["is1"], SECRET_6_17["is2"])
+        ks = report["keystream"]
+        assert len(ks) == self.PERIOD and ks[:96] == argv[-1]
+        edges = [e + i for e in range(0, self.PERIOD, 32 << 14) for i in (-1, 0) if e + i >= 0]
+        rng = random.Random(617)
+        positions = sorted({*edges, *rng.sample(range(self.PERIOD), 400), self.PERIOD - 1})
+        secret = GeneratorSpec.from_json(SECRET_6_17)
+        assert "".join(ks[p] for p in positions) == keystream_at(secret, positions)
+
+    def test_peak_memory_below_a_byte_per_bit(self, spec_file, tmp_path):
+        # the period as 0/1 bytes alone would be one byte a bit; the CLI holds
+        # one SR2 period, its decimated column and one block of rows at a time
+        argv = self.argv(spec_file)
+        target = tmp_path / "report.json"
+        tracemalloc.start()
+        try:
+            code = main([*argv, "--output", str(target)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and target.stat().st_size > self.PERIOD
+        assert peak < self.PERIOD / 2
 
 
 @pytest.mark.parametrize(
