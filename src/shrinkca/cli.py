@@ -24,9 +24,9 @@ from .engines import (
     LfsrState,
     _ca_state_at,
     _ca_states,
+    _lfsr_digits,
     _lfsr_seed_at,
     _seed_to_int,
-    lfsr_bytes,
 )
 from .generators import (
     GeneratorSpec,
@@ -85,16 +85,19 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         _check_degree("c1", c1, l1)
         reg = LfsrState(c1, _required_bits(data, "is1"))
         seed = _lfsr_seed_at(reg.charpoly, reg.seed, args.origin)
-        bits = BitSeq._adopt(lfsr_bytes(reg.charpoly, seed, args.bits), args.origin)
+        digits: Iterable[bytes] = [_lfsr_digits(reg.charpoly, seed, args.bits)]
     elif args.kind == "ca":
         st = CaState(RuleVector(_required_bits(data, "rules")), _required_bits(data, "cells"))
         start = _ca_state_at(st.rules, _seed_to_int(st.cells), args.origin)
         states = _ca_states(st.rules, start, args.bits)
-        bits = BitSeq._adopt(bytes(s & 1 for s in states), args.origin)  # bit 0 of a state is cell 1
+        digits = [bytes(48 | s & 1 for s in states)]  # bit 0 of a state is cell 1; 48 is "0"
     else:
         gen = shrink_generate if args.kind == "shrink" else ccsg_generate
-        bits = gen(GeneratorSpec.from_json(data), args.bits, origin=args.origin)
-    _emit((bits.raw.translate(_DIGITS), b"\n"), args.output)
+        digits = gen(GeneratorSpec.from_json(data), args.bits, args.origin, _DIGITS)
+        if args.output is None:
+            # one write: a request too large to hold exits 2 with nothing printed
+            digits = [b"".join(digits)]
+    _emit(chain(digits, [b"\n"]), args.output)
     return 0
 
 
@@ -133,18 +136,20 @@ def _cmd_attack(args: argparse.Namespace) -> int:
             prefix = "".join(map(str, rec.prefix))
             print(f"  {prefix}{where}: {rec.outcome}{row}", file=sys.stderr)
         print(f"nodes expanded: {result.nodes_expanded}", file=sys.stderr)
-    payload = {
-        "is1": "".join(map(str, result.is1)),
-        "is2": "".join(map(str, result.is2)),
-        "keystream": "",
-        "reconstructed_positions": list(result.reconstructed_positions),
-        "nodes_expanded": result.nodes_expanded,
-    }
-    # The period's digits go between the two halves of the JSON, block by block,
-    # with no joined copy; is1 and is2 are digits, so the key's first match is its own.
-    head, key, tail = json.dumps(payload, indent=2).partition('"keystream": "')
+    # The report is what json.dumps(..., indent=2) prints, written out, since
+    # Python's C encoder does not indent; the period's digits go in block by
+    # block, with no joined copy.  Every field is digits, so nothing needs escaping.
+    positions = ",\n    ".join(map(str, result.reconstructed_positions))
+    head = '{\n  "is1": "%s",\n  "is2": "%s",\n  "keystream": "' % (
+        "".join(map(str, result.is1)),
+        "".join(map(str, result.is2)),
+    )
+    tail = '",\n  "reconstructed_positions": %s,\n  "nodes_expanded": %d\n}\n' % (
+        f"[\n    {positions}\n  ]" if positions else "[]",
+        result.nodes_expanded,
+    )
     digits = result.keystream_blocks(_DIGITS)
-    _emit(chain([(head + key).encode()], digits, [(tail + "\n").encode()]), args.output)
+    _emit(chain([head.encode()], digits, [tail.encode()]), args.output)
     return 0
 
 

@@ -183,40 +183,57 @@ def _lfsr_seed_at(charpoly: Gf2Poly, seed: Sequence[int], step: int) -> tuple[in
     return tuple(stages)
 
 
-def lfsr_bytes(charpoly: Gf2Poly, seed: Sequence[int], n: int) -> bytes:
+def lfsr_bytes(charpoly: Gf2Poly, seed: Sequence[int] | int, n: int) -> bytes:
     """First n output bits of the register as 0/1 bytes; no primitivity check here.
+
+    The seed is the first L bits as a sequence, or a prefix of the output
+    packed into an int (bit t = s_t), of which the bits below max(L, its
+    bit length) are read: a long prefix saves the steps that would
+    recompute it.  See `_lfsr_digits` for the method.
+    """
+    return _lfsr_digits(charpoly, seed, n).translate(_VALUES)
+
+
+def _lfsr_digits(charpoly: Gf2Poly, seed: Sequence[int] | int, n: int) -> bytes:
+    """`lfsr_bytes` as ASCII digits, the form format() gives them in.
 
     Works on the bits packed into one int (bit t = s_t).  If x^m = r(x)
     mod p, then s_(t+m) is the sum of s_(t+i) over r's exponents i.  With
-    L <= m <= K for the K bits known, that gives the next m - L + 1 bits
-    with one shift and XOR per term of r.  m starts at L, with r the lower
-    terms of p, and doubles (r squared mod p) whenever 2m <= K, so once
-    2L bits are known each step appends more than K/2 - L bits, whatever
-    p's terms are.
+    m <= K for the K bits known, that gives the next m - deg r bits with
+    one shift and XOR per term of r.  m starts at L, with r the lower terms
+    of p, and doubles (r squared mod p) whenever 2m <= K, so once 2L bits
+    are known each step appends more than K/2 - L bits, whatever p's terms
+    are.  On p(x^d) every r is a polynomial in x^d, so each step appends at
+    least d bits, where m - L + 1 would give one.
     """
     deg = charpoly.degree
     if deg is None or deg < 1:
         raise ValueError("characteristic polynomial must have degree >= 1")
-    if len(seed) != deg:
+    if isinstance(seed, int):
+        if seed < 0:
+            raise ValueError("seed must be nonnegative")
+        state, known = seed, max(deg, seed.bit_length())
+    elif len(seed) != deg:
         raise ValueError("seed length mismatch")
+    else:
+        state, known = _seed_to_int(seed), deg
     if n < 0:
         raise ValueError("bit count must be nonnegative")
     mod = charpoly.mask
     r, m = mod ^ (1 << deg), deg
     terms = Gf2Poly(r).exponents()
-    state, known = _seed_to_int(seed), deg
     while known < n:
         while 2 * m <= known:
             r, m = _mul_mod(r, r, mod), 2 * m
             terms = Gf2Poly(r).exponents()
-        width = min(m - deg + 1, n - known)
+        width = min(m - r.bit_length() + 1, n - known)
         block, base = 0, known - m
         for i in terms:
             block ^= state >> (base + i)
         state |= (block & ((1 << width) - 1)) << known
         known += width
     state &= (1 << n) - 1
-    return format(state, f"0{n}b")[::-1].encode("ascii").translate(_VALUES) if n else b""
+    return format(state, f"0{n}b")[::-1].encode("ascii") if n else b""
 
 
 def lfsr_generate(reg: LfsrState, n: int) -> BitSeq:

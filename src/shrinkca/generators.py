@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from itertools import accumulate, compress
 from typing import Iterable, Iterator, Sequence
 
-from .engines import BitSeq, ZeroSeed, _lfsr_seed_at, lfsr_bit_iter, lfsr_bytes
-from .gf2 import Gf2Poly, NonPrimitiveModulus, is_primitive
+from .engines import _VALUES, BitSeq, ZeroSeed, _lfsr_digits, _lfsr_seed_at, lfsr_bit_iter, lfsr_bytes
+from .gf2 import Gf2Poly, NonPrimitiveModulus, berlekamp_massey, is_primitive
 
 __all__ = [
     "GeneratorSpec",
@@ -224,6 +224,40 @@ def _walk(buf: bytes, start: int, stride: int, count: int) -> bytearray:
     return bytearray().join(parts)
 
 
+def _from_digits(digits: bytes, table: bytes | None) -> bytes:
+    """ASCII digits as 0/1 bytes, or as a translation table's images of 0 and 1."""
+    images = b"\x00\x01" if table is None else table[:2]
+    return digits if images == b"01" else digits.translate(bytes.maketrans(b"01", images))
+
+
+def _column_base(rows: bytes, width: int, l2: int) -> Gf2Poly | None:
+    """The minimal polynomial of the columns of digit `rows`, or None when every column is zero.
+
+    rows holds at least 2 * l2 rows of `width` columns, each column a
+    decimation of one l2-stage m-sequence, so every column is annihilated by
+    one irreducible polynomial of degree at most l2.  A nonzero column has
+    no l2 zeros in a row, so the first 1 of the first l2 rows lies in one,
+    and Berlekamp-Massey on its first 2 * l2 bits returns that polynomial.
+    """
+    first = rows.find(b"1", 0, l2 * width)
+    if first < 0:
+        return None
+    return berlekamp_massey(rows[first % width : 2 * l2 * width : width].translate(_VALUES))
+
+
+def _extended(rows: bytes, width: int, l2: int, count: int) -> bytes:
+    """The first `count` digits of the interleave whose first rows are `rows` (see `_column_base`).
+
+    Every column satisfies base(x), so the interleave of `width` columns
+    satisfies base(x^width), and `_lfsr_digits` continues it from all of `rows`.
+    """
+    base = _column_base(rows, width, l2)
+    if base is None:
+        return b"0" * count
+    spread = Gf2Poly.from_exponents(e * width for e in base.exponents())
+    return _lfsr_digits(spread, int(rows[::-1], 2), count)
+
+
 # A window that wraps SR2's period is built in blocks of rows: about
 # _BLOCK_BYTES of output each, and never fewer than _BLOCK_ROWS rows, since
 # every block costs one slice per column.  Writing the (13, 14) period, 64 rows
@@ -231,6 +265,12 @@ def _walk(buf: bytes, start: int, stride: int, count: int) -> bytearray:
 # 2^17 to 2^20 bytes cost the same from (3, 16) to (13, 14).
 _BLOCK_BYTES = 1 << 19
 _BLOCK_ROWS = 256
+
+# A window inside one SR2 period is extended from its first 2 * l2 rows
+# only when that saves more than _EXTEND_BITS bits of lfsr_bytes output.  The
+# extension's fixed cost, one Berlekamp-Massey run and one more lfsr_bytes
+# call, measured 25-45 us on a 2-vCPU VM, about what 2^14 bits cost there.
+_EXTEND_BITS = 1 << 14
 
 
 def _window(
@@ -253,13 +293,29 @@ def _window(
 
     SR2 starts at the window's first row q0, step J = q0 * S mod P, from
     the seed x^J mod c2 applied to is2 (is2 itself when J = 0), so SR2 is
-    run over the window's own span only, never over the rows it skips.  A
-    window whose column reads stay inside one SR2 period is one block, one
-    strided slice per column.  Past one period, with g = gcd(S, P), the
-    columns are rotations of the decimated columns
-    v_rho[k] = sr2[(rho + k * S) mod P], one per residue rho mod g, each of
-    period P / g and built by one strided walk of one SR2 period, after
-    which the SR2 period is dropped: column c starting at SR2 step t is
+    run over the window's own span only, never over the rows it skips.  It
+    is read as ASCII digits, the form format() gives, and each block is
+    translated once at the end, or not at all for the digits table.
+
+    A window whose column reads stay inside one SR2 period is one block.
+    Its first h = min(rows, 2 l2) rows are one strided slice of SR2 per
+    column.  Every column is SR2's PN sequence decimated by S, so every
+    column is annihilated by base(x), the minimal polynomial of alpha^S for
+    alpha a root of c2: one irreducible polynomial of degree at most l2.
+    Berlekamp-Massey on 2 l2 bits of a nonzero column finds it exactly
+    (`_column_base`), and the interleave of d columns then satisfies
+    base(x^d) = base(x)^d, so the window's other rows are lfsr_bytes of
+    base(x^d) continued from the h rows (`_extended`): d bits a row, where
+    the strided slices read S >= d SR2 bits a row.  The extension is taken
+    when it saves more than _EXTEND_BITS such bits,
+    (rows - h) * S - (col + n) > _EXTEND_BITS; shorter windows, such as
+    the 4096-bit messages of an attack session, keep the strided slices.
+
+    Past one SR2 period, with g = gcd(S, P), the columns are rotations of
+    the decimated columns v_rho[k] = sr2[(rho + k * S) mod P], one per
+    residue rho mod g, each of period P / g and built by one strided walk
+    of one SR2 period, after which the SR2 period is dropped: column c
+    starting at SR2 step t is
     v_rho rotated by ((t - rho) / g) * (S / g)^-1 mod P / g, rho = t mod g.
     S / g is invertible mod P / g, since a prime dividing both would divide
     g once more.  g is 1 whenever the attack's model applies.  Each v_rho is
@@ -287,15 +343,19 @@ def _window(
     adv = clock_advances(a, spec.taps)
     offsets, advance = list(compress(adv, a[:span]))[:width], adv[span]
     seed = _lfsr_seed_at(spec.c2, spec.is2, first * advance % period)
-    last = offsets[-1] + (rows - 1) * advance
-    if last < period:
-        out = bytearray(rows * width)
-        sr2 = lfsr_bytes(spec.c2, seed, last + 1)
+    if offsets[-1] + (rows - 1) * advance < period:
+        head = min(rows, 2 * spec.l2)
+        if (rows - head) * advance - (col + n) <= _EXTEND_BITS:
+            head = rows
+        out = bytearray(head * width)
+        sr2 = _lfsr_digits(spec.c2, seed, offsets[-1] + (head - 1) * advance + 1)
         for c, off in enumerate(offsets):
             out[c::width] = sr2[off::advance]
+        if head < rows:
+            return [_from_digits(_extended(out, width, spec.l2, col + n)[col:], table)]
         del out[col + n :], out[:col]
-        return [bytes(out) if table is None else out.translate(table)]
-    sr2 = lfsr_bytes(spec.c2, seed, period)
+        return [_from_digits(out, table)]
+    sr2 = _lfsr_digits(spec.c2, seed, period)
     stride = advance % period
     g = math.gcd(stride, period)
     length = period // g
@@ -308,9 +368,7 @@ def _window(
         start = off % period
         rho = start % g
         if rho not in columns:
-            column = _walk(sr2, rho, stride or period, length)
-            if table is not None:
-                column = column.translate(table)
+            column = _from_digits(_walk(sr2, rho, stride or period, length), table)
             column *= repeats
             columns[rho] = column
         starts.append((columns[rho], (start - rho) // g * inv % length))
@@ -352,18 +410,29 @@ def _interleave(spec: GeneratorSpec, n: int, origin: int = 0) -> BitSeq:
     return _joined(_window(spec, n, origin), origin)
 
 
-def shrink_generate(spec: GeneratorSpec, n: int, origin: int = 0) -> BitSeq:
-    """Plain shrinking generator keystream, bits origin .. origin + n - 1 (taps must be empty)."""
+def shrink_generate(
+    spec: GeneratorSpec, n: int, origin: int = 0, table: bytes | None = None
+) -> BitSeq | Iterable[bytes]:
+    """Plain shrinking generator keystream, bits origin .. origin + n - 1 (taps must be empty).
+
+    With a translation table the bits come as `_window`'s blocks of its
+    images of 0 and 1, not as one BitSeq.
+    """
     if spec.taps:
         raise ValueError("spec has clock taps; use ccsg")
-    return _interleave(spec, n, origin)
+    return _interleave(spec, n, origin) if table is None else _window(spec, n, origin, table)
 
 
-def ccsg_generate(spec: GeneratorSpec, n: int, origin: int = 0) -> BitSeq:
-    """Clock-controlled shrinking generator keystream, bits origin .. origin + n - 1 (taps nonempty)."""
+def ccsg_generate(
+    spec: GeneratorSpec, n: int, origin: int = 0, table: bytes | None = None
+) -> BitSeq | Iterable[bytes]:
+    """Clock-controlled shrinking generator keystream, bits origin .. origin + n - 1 (taps nonempty).
+
+    A translation table works as in `shrink_generate`.
+    """
     if not spec.taps:
         raise ValueError("spec has no clock taps; use shrink")
-    return _interleave(spec, n, origin)
+    return _interleave(spec, n, origin) if table is None else _window(spec, n, origin, table)
 
 
 def decimated_stream(spec: GeneratorSpec, n: int) -> BitSeq:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -11,6 +12,7 @@ import pytest
 
 import shrinkca
 from shrinkca.attack import full_attack
+from shrinkca import cli
 from shrinkca.cli import _build_parser, main
 from shrinkca.engines import BitSeq, CaState, ca_generate, lfsr_bit_iter, solve_cell_seed
 from shrinkca.generators import GeneratorSpec, _clocked_steps, ccsg_generate, shrink_generate
@@ -632,6 +634,64 @@ class TestStreamedReport:
             tracemalloc.stop()
         assert code == 0 and target.stat().st_size > self.PERIOD
         assert peak < self.PERIOD / 2
+
+
+class TestReportBytes:
+    def test_report_is_what_json_dumps_indents(self, capsys, spec_file, monkeypatch):
+        argv = ["attack", "--spec", spec_file(PUBLIC53), "--intercepted", INTERCEPT53]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["reconstructed_positions"]
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        attack = cli.full_attack
+
+        def no_positions(*args):
+            return dataclasses.replace(attack(*args), reconstructed_positions=())
+
+        monkeypatch.setattr(cli, "full_attack", no_positions)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["reconstructed_positions"] == []
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+class TestStreamedGenerate:
+    """(4, 23): a window of 2^25 bits reads SR2 over 4 periods, so it wraps and streams."""
+
+    SPEC = {
+        "l1": 4, "l2": 23, "c1": "0,3,4", "c2": "0,5,23",
+        "is1": "1001", "is2": "10110011100011110000111",
+    }
+    SR2_PERIOD = (1 << 23) - 1
+
+    def test_peak_memory_follows_the_sr2_period(self, spec_file, tmp_path):
+        # one SR2 period as digits, its decimated column kept twice, and one
+        # block of rows, where the joined window took 2 bytes a bit (64 MiB)
+        bits = 1 << 25
+        target = tmp_path / "bits.txt"
+        argv = ["generate", "--spec", spec_file(self.SPEC), "--kind", "shrink", "--bits", str(bits)]
+        tracemalloc.start()
+        try:
+            code = main([*argv, "--origin", "3", "--output", str(target)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 3.5 * self.SR2_PERIOD < bits
+        out = target.read_bytes()
+        assert len(out) == bits + 1 and out.endswith(b"\n")
+        rng = random.Random(423)
+        positions = sorted({*range(64), *range(bits - 64, bits), *rng.sample(range(bits), 300)})
+        spec = GeneratorSpec.from_json(self.SPEC)
+        assert bytes(out[p] for p in positions).decode() == keystream_at(spec, [p + 3 for p in positions])
+
+    @pytest.mark.parametrize("bits,origin", [(1 << 18, 4000), (3 << 22, 17)], ids=["extended", "wrapping"])
+    def test_stdout_equals_output(self, capsys, spec_file, tmp_path, bits, origin):
+        argv = ["generate", "--spec", spec_file(self.SPEC), "--kind", "shrink", "--bits", str(bits)]
+        argv += ["--origin", str(origin)]
+        code, out, err = run(capsys, *argv)
+        assert (code, err, len(out)) == (0, "", bits + 1)
+        target = tmp_path / "bits.txt"
+        assert run(capsys, *argv, "--output", str(target)) == (0, "", "")
+        assert target.read_bytes() == out.encode()
 
 
 @pytest.mark.parametrize(

@@ -7,13 +7,13 @@ import sys
 import textwrap
 import tracemalloc
 import warnings
-from itertools import accumulate, islice
+from itertools import accumulate, chain, combinations, islice
 
 import pytest
 
 import shrinkca
 from shrinkca import generators
-from shrinkca.engines import ZeroSeed, lfsr_bit_iter
+from shrinkca.engines import ZeroSeed, lfsr_bit_iter, lfsr_bytes
 from shrinkca.gf2 import Gf2Poly, NonPrimitiveModulus, _pow_mod, berlekamp_massey, is_primitive
 from shrinkca.generators import (
     GeneratorSpec,
@@ -376,7 +376,7 @@ class TestColumnModel:
             return (_pow_mod(2, t, spec.c2.mask) & seed).bit_count() & 1
 
         jumps, sr2_bits = [], []
-        seed_at, lfsr = generators._lfsr_seed_at, generators.lfsr_bytes
+        seed_at, lfsr = generators._lfsr_seed_at, generators._lfsr_digits
 
         def counted_seed_at(charpoly, seed_, step):
             jumps.append(step)
@@ -388,7 +388,7 @@ class TestColumnModel:
             return lfsr(charpoly, seed_, n)
 
         monkeypatch.setattr(generators, "_lfsr_seed_at", counted_seed_at)
-        monkeypatch.setattr(generators, "lfsr_bytes", counted_lfsr)
+        monkeypatch.setattr(generators, "_lfsr_digits", counted_lfsr)
         near_end = next(q for q in range(period - 1, 0, -1) if q * advance % period > period - 2 * advance)
         windows = [
             (1, 0),
@@ -453,6 +453,156 @@ class TestRowBlocks:
         table = bytes.maketrans(b"\x00\x01", b"01")
         digits = b"".join(generators._window(spec, n, origin, table))
         assert digits == engine_window(spec, n, origin).raw.translate(table)
+
+
+PRIMITIVE_UP_TO_5 = [
+    Gf2Poly(mask) for mask in range(2, 1 << 6) if mask & 1 and is_primitive(Gf2Poly(mask))
+]
+
+
+def spread(poly: Gf2Poly, d: int) -> Gf2Poly:
+    """poly(x^d)."""
+    return Gf2Poly.from_exponents(e * d for e in poly.exponents())
+
+
+def packed(bits: bytes) -> int:
+    return sum(bit << t for t, bit in enumerate(bits))
+
+
+class TestSpreadRecurrence:
+    """lfsr_bytes on p(x^d) is d interleaved sequences of p; int seeds read as tuple seeds."""
+
+    def test_spread_polynomial_interleaves_columns(self):
+        assert len(PRIMITIVE_UP_TO_5) == 1 + 1 + 2 + 2 + 6
+        rng = random.Random(2205)
+        for p in PRIMITIVE_UP_TO_5:
+            deg = p.degree
+            for d in range(1, 9):
+                rows = 3 * ((1 << deg) - 1) + rng.randrange(1, 9)
+                seeds = [tuple(rng.getrandbits(1) for _ in range(deg)) for _ in range(d)]
+                z = bytearray(rows * d)
+                for c, seed in enumerate(seeds):
+                    z[c::d] = lfsr_bytes(p, seed, rows)
+                q = spread(p, d)
+                assert lfsr_bytes(q, tuple(z[: d * deg]), len(z)) == z, (p.to_text(), d)
+                assert lfsr_bytes(q, packed(z[: d * deg]), len(z)) == z, (p.to_text(), d)
+                longer = rng.randrange(d * deg, len(z) + 1)
+                assert lfsr_bytes(q, packed(z[:longer]), len(z)) == z, (p.to_text(), d, longer)
+
+    def test_int_seeds_equal_tuple_seeds(self):
+        rng = random.Random(2206)
+        for deg in range(1, 32):
+            poly = Gf2Poly((1 << deg) | rng.getrandbits(deg))
+            seed = tuple(rng.getrandbits(1) for _ in range(deg))
+            n = rng.randrange(3 * deg + 200)
+            want = lfsr_bytes(poly, seed, n)
+            assert lfsr_bytes(poly, packed(seed), n) == want, (poly.to_text(), seed, n)
+            # any longer prefix gives the same bits, its top zeros included or not
+            longer = bytes(seed) + want[deg : rng.randrange(deg, max(deg, n) + 1)]
+            assert lfsr_bytes(poly, packed(longer), n) == want
+        with pytest.raises(ValueError):
+            lfsr_bytes(Gf2Poly.parse("0,1,4"), -1, 5)
+
+
+class TestColumnBase:
+    def test_all_zero_columns_have_no_base(self):
+        for l2, width in ((3, 1), (5, 4), (8, 16)):
+            rows = b"0" * 2 * l2 * width
+            assert generators._column_base(rows, width, l2) is None
+            assert generators._extended(rows, width, l2, 1000) == b"0" * 1000
+
+    def test_zero_columns_beside_nonzero_ones(self):
+        # decimated columns of one l2-stage register with any start, some of them zero
+        rng = random.Random(2207)
+        for p in PRIMITIVE_UP_TO_5[2:]:
+            deg, width = p.degree, 4
+            seeds = [(0,) * deg] + [tuple(rng.getrandbits(1) for _ in range(deg)) for _ in range(width - 1)]
+            seeds[rng.randrange(1, width)] = (1,) + (0,) * (deg - 1)  # at least one nonzero column
+            rows = 5 * deg
+            z = bytearray(rows * width)
+            for c, seed in enumerate(seeds):
+                z[c::width] = lfsr_bytes(p, seed, rows)
+            digits = z.translate(bytes.maketrans(b"\x00\x01", b"01"))
+            head = digits[: 2 * deg * width]
+            assert generators._column_base(head, width, deg) == p
+            assert generators._extended(head, width, deg, len(z)) == digits
+
+
+def ones_positions(spec: GeneratorSpec) -> tuple[list[int], int]:
+    """SR2's advance at each SR1 one over one SR1 period, and over the whole period."""
+    offsets, advance = [], 0
+    for a, _, x in islice(_clocked_steps(spec), (1 << spec.l1) - 1):
+        if a:
+            offsets.append(advance)
+        advance += x
+    return offsets, advance
+
+
+class TestExtension:
+    """Windows inside one SR2 period, longer than 2 l2 rows, continued by base(x^d)."""
+
+    @pytest.fixture
+    def extended(self, monkeypatch):
+        """The rows each `_extended` call continues from, one entry per call."""
+        calls, extend = [], generators._extended
+
+        def counted(rows, width, l2, count):
+            calls.append(len(rows) // width)
+            return extend(rows, width, l2, count)
+
+        monkeypatch.setattr(generators, "_extended", counted)
+        return calls
+
+    def test_windows_against_the_step_machine(self, extended, monkeypatch):
+        monkeypatch.setattr(generators, "_EXTEND_BITS", float("-inf"))
+        rng = random.Random(2208)
+        shapes = [(l1, l2) for l1 in range(1, 4) for l2 in range(l1 + 1, 9) if math.gcd(l1, l2) == 1]
+        for l1, l2 in shapes:
+            for taps in chain.from_iterable(combinations(range(l1), w) for w in range(l1 + 1)):
+                spec = random_spec(rng, l1, l2, 0)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # taps on every stage warn about leaking SR1
+                    spec = GeneratorSpec(l1, l2, spec.c1, spec.c2, spec.is1, spec.is2, taps)
+                truth = oracle_period(spec)
+                period, d = len(truth), 1 << (l1 - 1)
+                offsets, advance = ones_positions(spec)
+                # the most rows whose column reads stay inside one SR2 period
+                rows = ((1 << l2) - 2 - offsets[-1]) // advance + 1
+                before = len(extended)
+                for _ in range(12):
+                    origin = rng.randrange(2 * period)
+                    n = rng.randrange(1, max(rows * d - origin % d, 1) + 1)
+                    z = engine_window(spec, n, origin)
+                    assert z.raw == bytes(truth[(origin + i) % period] for i in range(n)), (spec, n, origin)
+                if rows > 2 * l2 + 2:
+                    assert len(extended) > before, spec
+                assert all(r == 2 * l2 for r in extended[before:])
+        assert len(extended) > 100
+
+    @pytest.mark.parametrize("w", [0, 2])
+    def test_crossover_follows_the_bits_saved(self, extended, w):
+        # (4, 19): d = 8 and S >= 15, so 2^16 bits read 2^17 SR2 bits or more
+        # the strided way and save far more than 2^14; 4096 bits save less
+        spec = random_spec(random.Random(419 + w), 4, 19, w)
+        for n, origin, extends in ((4096, 5, False), (1 << 16, 8 * 3 + 5, True), (1 << 16, 0, True)):
+            del extended[:]
+            z = engine_window(spec, n, origin)
+            assert bool(extended) == extends, n
+            rng = random.Random(n)
+            probes = sorted({*range(64), *range(n - 64, n), *rng.sample(range(n), 200)})
+            assert bytes(z.raw[i] for i in probes) == keystream_bits(spec, [origin + i for i in probes])
+
+
+def keystream_bits(spec: GeneratorSpec, positions: list[int]) -> bytes:
+    """Bits at absolute positions by jump-ahead: bit q * d + c is SR2's bit at q * S + off_c."""
+    offsets, advance = ones_positions(spec)
+    seed = sum(bit << k for k, bit in enumerate(spec.is2))
+    out = []
+    for p in positions:
+        q, c = divmod(p, len(offsets))
+        t = (q * advance + offsets[c]) % ((1 << spec.l2) - 1)
+        out.append((_pow_mod(2, t, spec.c2.mask) & seed).bit_count() & 1)
+    return bytes(out)
 
 
 class TestClockAdvances:
