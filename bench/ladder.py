@@ -11,26 +11,28 @@ drawn from a random.Random seeded by the rung itself, so every checkout
 attacks the same instances. The intercept is the first
 r = max(3 * 2^(l1-1), 2 * (l1 + l2)) keystream bits.
 
-One run times each layer the attack goes through, called on its own in
-`full_attack`'s order, and then `full_attack` itself:
+One run is one `full_attack` with `is_primitive`'s cache cleared first, so
+it proves c1, c2 and the base again, as a CLI attack on a fresh spec does.
+Its layers are timed inside that call, by wrapping the functions it calls
+for the length of the run:
 
-- linearize: `linearize_generator`
+- linearize: `linearize_model`, min_poly included
 - min_poly: `min_poly_of_power` of the coset exponent
 - field: `FieldTable.build`
 - phase1, phase2: `phase1_reconstruct`, `phase2_search`
+- full_attack: the whole attack, with its report unread
 - regeneration: the full-period keystream the attack reports, which
   `AttackResult.keystream` regenerates each time it is read
-- full_attack: the whole attack, in the same process, with its report unread
-  and `is_primitive`'s cache cleared first, so it proves c1, c2 and the base
-  again, as a CLI attack on a fresh spec does
 - report: the CLI's write of the recovered period, streamed as ASCII digit
   blocks (`AttackResult.keystream_blocks`) to os.devnull by the CLI's own
-  writer; timed only when full_attack recovers
+  writer
+
+regeneration and report are timed only when full_attack recovers.
 
 Rungs with l2 above the field cap (gf2.MAX_FIELD_DEGREE) time linearize
-and min_poly only, since neither builds a field: the attack refuses them,
-so their other layers are listed under "skipped" and their outcome is
-"skipped", not an error.
+and min_poly only, since neither builds a field: the attack refuses them at
+`FieldTable.build`, so their other layers are listed under "skipped" and
+their outcome is "skipped", not an error.
 
 A rung runs RUNS times in a child process and reports each layer's median
 and its (min, max). A child still running after CAP_S seconds is killed and
@@ -110,57 +112,55 @@ def _instance(l1: int, l2: int, w: int):
     generate = ccsg_generate if w else shrink_generate
     r = max(3 << (l1 - 1), 2 * (l1 + l2))
     intercepted = BitSeq(generate(public.with_seeds(is1, is2), r).raw)
-    return public, (is1, is2), intercepted, generate
+    return public, (is1, is2), intercepted
 
 
 def _one_run(l1: int, l2: int, w: int) -> tuple[dict[str, float], str]:
-    from shrinkca import (
-        FieldTable,
-        coset_exponent,
-        full_attack,
-        is_primitive,
-        linearize_generator,
-        min_poly_of_power,
-        phase1_reconstruct,
-        phase2_search,
-    )
+    from shrinkca import attack, full_attack, is_primitive, linearize
     from shrinkca.cli import _emit
     from shrinkca.engines import _DIGITS
-    from shrinkca.gf2 import MAX_FIELD_DEGREE
+    from shrinkca.gf2 import MAX_FIELD_DEGREE, FieldTable
 
-    public, planted, intercepted, generate = _instance(l1, l2, w)
-    times = {}
+    public, planted, intercepted = _instance(l1, l2, w)
+    times: dict[str, float] = {}
 
-    def timed(name, fn, *args):
-        start = perf_counter()
-        out = fn(*args)
-        times[name] = perf_counter() - start
-        return out
+    def timed(name, fn):
+        def call(*args):
+            start = perf_counter()
+            out = fn(*args)
+            times[name] = times.get(name, 0.0) + perf_counter() - start
+            return out
 
-    pair = timed("linearize", linearize_generator, l1, public.c2, w)
-    base = timed("min_poly", min_poly_of_power, public.c2, coset_exponent(l1, w))
-    if l2 > MAX_FIELD_DEGREE:
-        return times, "skipped"
-    table = timed("field", FieldTable.build, base)
-    known, _ = timed("phase1", phase1_reconstruct, intercepted, pair, l1, table)
-    timed("phase2", phase2_search, known, public, table)
-    period = (1 << (l1 - 1)) * ((1 << l2) - 1)
-    timed("regeneration", generate, public.with_seeds(*planted), period)
-    del known, table
+        return call
+
+    wrapped = (
+        (linearize, "min_poly_of_power", "min_poly"),
+        (attack, "linearize_model", "linearize"),
+        (FieldTable, "build", "field"),
+        (attack, "phase1_reconstruct", "phase1"),
+        (attack, "phase2_search", "phase2"),
+    )
+    originals = [(owner, attr, vars(owner)[attr]) for owner, attr, _ in wrapped]
+    for owner, attr, name in wrapped:
+        setattr(owner, attr, timed(name, getattr(owner, attr)))
     is_primitive.cache_clear()
     try:
-        result = timed("full_attack", full_attack, intercepted, public)
+        result = timed("full_attack", full_attack)(intercepted, public)
     except Exception as exc:  # an attack that does not recover is recorded, not fatal
-        return times, type(exc).__name__
+        return times, "skipped" if l2 > MAX_FIELD_DEGREE else type(exc).__name__
+    finally:
+        for owner, attr, original in originals:
+            setattr(owner, attr, original)
     if (result.is1, result.is2) != planted:
         return times, "wrong seeds"
-    timed("report", lambda: _emit(result.keystream_blocks(_DIGITS), os.devnull))
+    timed("regeneration", lambda: result.keystream)()
+    timed("report", lambda: _emit(result.keystream_blocks(_DIGITS), os.devnull))()
     return times, "recovered"
 
 
 def _rung(l1: int, l2: int, w: int) -> dict:
     runs = [_one_run(l1, l2, w) for _ in range(RUNS)]
-    layers = runs[0][0]
+    layers = [k for k in LAYERS if k in runs[0][0]]
     entry = {
         "outcome": sorted({outcome for _, outcome in runs}),
         "median_s": {k: statistics.median(t[k] for t, _ in runs) for k in layers},

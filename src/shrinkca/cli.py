@@ -22,7 +22,6 @@ from .engines import (
     BitSeq,
     CaState,
     LfsrState,
-    _ca_state_at,
     _ca_states,
     _lfsr_digits,
     _lfsr_seed_at,
@@ -79,24 +78,29 @@ def _required_bits(data: dict, key: str) -> tuple[int, ...]:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     data = _load_json(args.spec)
-    if args.kind == "lfsr":
-        l1 = _json_int(data, "l1")
-        c1 = _json_poly(data, "c1", l1)
-        _check_degree("c1", c1, l1)
-        reg = LfsrState(c1, _required_bits(data, "is1"))
-        seed = _lfsr_seed_at(reg.charpoly, reg.seed, args.origin)
-        digits: Iterable[bytes] = [_lfsr_digits(reg.charpoly, seed, args.bits)]
-    elif args.kind == "ca":
-        st = CaState(RuleVector(_required_bits(data, "rules")), _required_bits(data, "cells"))
-        start = _ca_state_at(st.rules, _seed_to_int(st.cells), args.origin)
-        states = _ca_states(st.rules, start, args.bits)
-        digits = [bytes(48 | s & 1 for s in states)]  # bit 0 of a state is cell 1; 48 is "0"
-    else:
+    if args.kind in ("shrink", "ccsg"):
         gen = shrink_generate if args.kind == "shrink" else ccsg_generate
-        digits = gen(GeneratorSpec.from_json(data), args.bits, args.origin, _DIGITS)
+        digits: Iterable[bytes] = gen(GeneratorSpec.from_json(data), args.bits, args.origin, _DIGITS)
         if args.output is None:
             # one write: a request too large to hold exits 2 with nothing printed
             digits = [b"".join(digits)]
+    else:
+        if args.kind == "lfsr":
+            l1 = _json_int(data, "l1")
+            c1 = _json_poly(data, "c1", l1)
+            _check_degree("c1", c1, l1)
+            reg = LfsrState(c1, _required_bits(data, "is1"))
+            poly, seed = reg.charpoly, reg.seed
+        else:
+            # cell 1 obeys the automaton's characteristic polynomial (Cayley-Hamilton),
+            # so its first L bits seed the register that continues it
+            st = CaState(RuleVector(_required_bits(data, "rules")), _required_bits(data, "cells"))
+            poly = st.rules.char_poly()
+            seed = tuple(s & 1 for s in _ca_states(st.rules, _seed_to_int(st.cells), len(st.cells)))
+        s0 = _lfsr_seed_at(poly, seed, args.origin)
+        # 2L known bits let _lfsr_digits double its stride from its first step
+        head = s0 + _lfsr_seed_at(poly, s0, len(s0))
+        digits = [_lfsr_digits(poly, _seed_to_int(head), args.bits)]
     _emit(chain(digits, [b"\n"]), args.output)
     return 0
 

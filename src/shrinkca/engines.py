@@ -3,6 +3,7 @@
 Register and automaton states are held as ints (bit k = stage A_k, or cell
 k+1).  An LFSR with characteristic polynomial sum c_k x^k (monic, degree L)
 realizes s_(n+L) = sum_(k<L) c_k s_(n+k); stage A_0 is the output.
+Each cell of an automaton outputs an LFSR sequence of its characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -266,21 +267,6 @@ def _ca_states(rules: RuleVector, state: int, steps: int) -> Iterator[int]:
     for _ in range(steps):
         yield state
         state = ((state << 1) & full) ^ (state >> 1) ^ (state & r)
-
-
-def _ca_state_at(rules: RuleVector, state: int, step: int) -> int:
-    """The automaton's state at time `step` from `state`, without the steps between.
-
-    The update matrix M satisfies its characteristic polynomial p =
-    rules.char_poly() (Cayley-Hamilton), so M^step = r(M) for r = x^step mod p:
-    the state is the XOR of the states at times i < L over r's exponents i.
-    """
-    r = _pow_mod(2, step, rules.char_poly().mask)
-    out = 0
-    for i, s in enumerate(_ca_states(rules, state, len(rules))):
-        if r >> i & 1:
-            out ^= s
-    return out
 
 
 def ca_step(state: CaState) -> CaState:

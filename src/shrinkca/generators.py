@@ -16,7 +16,6 @@ identically 1, which is the plain generator again.
 from __future__ import annotations
 
 import io
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -146,11 +145,6 @@ class GeneratorSpec:
             is2=_json_bits(data, "is2"),
             taps=_json_taps(data),
         )
-
-    @classmethod
-    def from_file(cls, path: str) -> "GeneratorSpec":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
 
     def to_json(self) -> dict:
         out: dict = {

@@ -232,17 +232,6 @@ class Gf2Poly:
     def to_text(self) -> str:
         return ",".join(str(e) for e in self.exponents())
 
-    def reciprocal(self) -> "Gf2Poly":
-        """x^deg * p(1/x): the coefficient sequence reversed."""
-        if not self.mask:
-            return self
-        width = self.mask.bit_length()
-        rev = 0
-        for k in range(width):
-            if self.mask >> k & 1:
-                rev |= 1 << (width - 1 - k)
-        return Gf2Poly(rev)
-
     def __add__(self, other: "Gf2Poly") -> "Gf2Poly":
         return Gf2Poly(self.mask ^ other.mask)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import os
 import random
@@ -289,6 +290,97 @@ class TestModelAtFullPeriod:
             ca = spec_file({"rules": str(rv), "cells": "".join(map(str, st.cells))}, "ca.json")
             argv = ["generate", "--spec", ca, "--kind", "ca", "--bits", period]
             assert run(capsys, *argv) == (0, keystream, "")
+
+
+def ca_cell1_oracle(rules: tuple[int, ...], cells: tuple[int, ...], origin: int, n: int) -> str:
+    """Cell 1 at times origin .. origin + n - 1, from the rule definition alone.
+
+    One step is left + right (+ self under rule 150) with null boundaries;
+    the jump to the origin squares the matrix whose columns are the steps of
+    the unit states, so a far origin costs log(origin) matrix products.
+    """
+
+    def step(state: tuple[int, ...]) -> tuple[int, ...]:
+        padded = (0,) + state + (0,)
+        return tuple((padded[i] + padded[i + 2] + rule * padded[i + 1]) % 2 for i, rule in enumerate(rules))
+
+    def as_int(state: tuple[int, ...]) -> int:
+        return sum(bit << k for k, bit in enumerate(state))
+
+    def apply(columns: list[int], state: int) -> int:
+        out = 0
+        for k, column in enumerate(columns):
+            if state >> k & 1:
+                out ^= column
+        return out
+
+    size = len(rules)
+    power = [as_int(step(tuple(int(k == j) for k in range(size)))) for j in range(size)]
+    jumped = as_int(cells)
+    while origin:
+        if origin & 1:
+            jumped = apply(power, jumped)
+        power = [apply(power, column) for column in power]
+        origin >>= 1
+    state = tuple(jumped >> k & 1 for k in range(size))
+    out = []
+    for _ in range(n):
+        out.append(state[0])
+        state = step(state)
+    return "".join(map(str, out))
+
+
+class TestLinearKindsSweep:
+    """`generate --kind ca` and `--kind lfsr` against stepping, at every kind of origin."""
+
+    @staticmethod
+    def check(capsys, spec, kind, size, rng, oracle):
+        """Origins 0, L - 1, L, 2L, random and 2^40; bit counts 0, 1, L, 2L and random."""
+        for origin in (0, size - 1, size, 2 * size, rng.randrange(1 << 12), 1 << 40):
+            counts = (0, 1, size, 2 * size, rng.randrange(300))
+            want = oracle(origin, max(counts))
+            for n in counts:
+                argv = ["--kind", kind, "--bits", str(n), "--origin", str(origin)]
+                got = run(capsys, "generate", "--spec", spec, *argv)
+                assert got == (0, want[:n] + "\n", ""), (spec, origin, n)
+
+    def check_ca(self, capsys, spec_file, rng, rules, cells):
+        spec = spec_file({"rules": "".join(map(str, rules)), "cells": "".join(map(str, cells))})
+        oracle = functools.partial(ca_cell1_oracle, rules, cells)
+        self.check(capsys, spec, "ca", len(rules), rng, oracle)
+
+    def test_ca_matches_stepping(self, capsys, spec_file):
+        rng = random.Random(23)
+        for _ in range(60):
+            size = rng.randrange(1, 41)
+            rules = tuple(rng.randrange(2) for _ in range(size))
+            self.check_ca(capsys, spec_file, rng, rules, tuple(rng.randrange(2) for _ in range(size)))
+
+    def test_ca_singular_and_zero_cells(self, capsys, spec_file):
+        # a single rule-90 cell has characteristic polynomial x: its state is 0 after one step
+        assert RuleVector((0,)).char_poly() == Gf2Poly.parse("1")
+        rng = random.Random(90)
+        for cells in ((1,), (0,)):
+            self.check_ca(capsys, spec_file, rng, (0,), cells)
+        for size in (1, 2, 3, 17, 40):
+            rules = tuple(rng.randrange(2) for _ in range(size))
+            self.check_ca(capsys, spec_file, rng, rules, (0,) * size)
+
+    def test_lfsr_matches_stepping(self, capsys, spec_file):
+        rng = random.Random(1023)
+        for _ in range(30):
+            size = rng.randrange(2, 17)
+            while not is_primitive(c1 := Gf2Poly(1 << size | rng.getrandbits(size) | 1)):
+                pass
+            state = rng.randrange(1, 1 << size)
+            seed = tuple(state >> k & 1 for k in range(size))
+            spec = spec_file({"l1": size, "c1": c1.to_text(), "is1": "".join(map(str, seed))})
+
+            def oracle(origin, n):
+                start = origin % ((1 << size) - 1)
+                return "".join(map(str, islice(lfsr_bit_iter(c1, seed), start, start + n)))
+
+            self.check(capsys, spec, "lfsr", size, rng, oracle)
 
 
 # Specs that linearize_model alone would model but GeneratorSpec refuses,

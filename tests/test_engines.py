@@ -8,9 +8,7 @@ from shrinkca.engines import (
     CaState,
     LfsrState,
     ZeroSeed,
-    _ca_state_at,
     _cell_basis_traces,
-    _seed_to_int,
     ca_generate,
     ca_step,
     decimate,
@@ -282,16 +280,6 @@ class TestCellularAutomaton:
                 for t, state in enumerate(oracle_states(rules.bits, unit, steps)):
                     rows[t] |= state[cell - 1] << j
             assert _cell_basis_traces(rules, cell, steps) == rows, (rules, cell, steps)
-
-    def test_state_at_matches_stepping(self):
-        # x^t mod the characteristic polynomial picks the states at times < L
-        rng = random.Random(2040)
-        for _ in range(100):
-            rules, cells = random_automaton(rng)
-            step = rng.choice((0, len(cells) - 1, len(cells), rng.randrange(600)))
-            expected = oracle_states(rules.bits, cells, step + 1)[step]
-            got = _ca_state_at(rules, _seed_to_int(cells), step)
-            assert got == _seed_to_int(expected), (rules, cells, step)
 
     def test_trace_obeys_char_poly(self):
         rules = RuleVector.from_string("0111001110")

@@ -1,4 +1,3 @@
-import json
 import math
 import os
 import random
@@ -105,11 +104,6 @@ class TestJsonRoundtrip:
         assert data["is2"] == "1000"
         assert data["taps"] == [0]
         assert GeneratorSpec.from_json(data) == spec
-
-    def test_from_file(self, tmp_path):
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(plain_spec().to_json()))
-        assert GeneratorSpec.from_file(path) == plain_spec()
 
     def test_missing_key(self):
         with pytest.raises(KeyError):
