@@ -4,9 +4,10 @@ Usage (from the repository root):
 
     python3 bench/differential.py
 
-It prints two lines, `library <sha256>` and `cli <sha256>`. Run it at two
-checkouts: a change that claims the attack's output, or the CLI's, is
-byte-identical must print the same digest as its parent.
+It prints three lines, `library <sha256>`, `cli <sha256>` and
+`linear <sha256>`. Run it at two checkouts: a change that claims the
+attack's output, or the CLI's, is byte-identical must print the same
+digest as its parent.
 
 The library sample is COUNT instances drawn from random.Random(SEED). Each has l1
 in 1..9, a coprime l2 in l1 + 1..13, primitive c1 and c2, 0, 1, 2 or l1
@@ -25,6 +26,13 @@ workload schedules (seed CLI_SEED, CLI_CYCLES cycles each) goes through
 `cli.main` once to stdout and once with `--output`, and the digest covers
 each run's exit code, stderr, stdout and output-file bytes, in order.
 
+The linear digest covers the register reads: for k = 1 .. LINEAR_CELLS,
+`generate --kind lfsr` on a primitive register of random degree 1..64 and
+a random nonzero seed, and `generate --kind ca` on a random automaton of
+k cells (every ninth one all-zero), each at origins 0, L - 1, L, 2L, a
+random one and 2^40, through `cli.main` to stdout, drawn from
+random.Random(LINEAR_SEED).
+
 Stdlib only; not part of the tests or of BENCHMARK.json.
 """
 
@@ -33,6 +41,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import math
 import random
 import sys
@@ -63,6 +72,8 @@ COUNT = 3000
 SEED = "differential"
 CLI_SEED = 903
 CLI_CYCLES = 3
+LINEAR_SEED = "linear"
+LINEAR_CELLS = 199
 
 
 def _primitive(rng: random.Random, m: int) -> Gf2Poly:
@@ -77,6 +88,10 @@ def _seed(rng: random.Random, n: int) -> tuple[int, ...]:
         bits = tuple(rng.getrandbits(1) for _ in range(n))
         if any(bits):
             return bits
+
+
+def _text(bits) -> str:
+    return "".join(map(str, bits))
 
 
 def _instance(rng: random.Random) -> tuple[GeneratorSpec, BitSeq]:
@@ -160,6 +175,27 @@ def cli_digest() -> str:
     return digest.hexdigest()
 
 
+def linear_digest() -> str:
+    rng = random.Random(LINEAR_SEED)
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+        for cells in range(1, LINEAR_CELLS + 1):
+            l1 = rng.randint(1, 64)
+            register = {"l1": l1, "c1": _primitive(rng, l1).to_text(), "is1": _text(_seed(rng, l1))}
+            state = [rng.getrandbits(1) for _ in range(cells)]
+            if cells % 9 == 0:
+                state = [0] * cells
+            automaton = {"rules": _text(rng.getrandbits(1) for _ in range(cells)), "cells": _text(state)}
+            for kind, data, size in (("lfsr", register, l1), ("ca", automaton, cells)):
+                path.write_text(json.dumps(data))
+                for origin in (0, size - 1, size, 2 * size, rng.randrange(1 << 20), 1 << 40):
+                    bits = rng.randrange(4 * size + 64)
+                    argv = ["generate", "--spec", str(path), "--kind", kind, "--bits", str(bits)]
+                    digest.update(_cli_run([*argv, "--origin", str(origin)], None))
+    return digest.hexdigest()
+
+
 def library_digest() -> str:
     rng = random.Random(SEED)
     digest = hashlib.sha256()
@@ -172,6 +208,7 @@ def main() -> None:
     warnings.simplefilter("ignore")  # l1 taps warn that the clock leaks SR1
     print(f"library {library_digest()}")
     print(f"cli     {cli_digest()}")
+    print(f"linear  {linear_digest()}")
 
 
 if __name__ == "__main__":

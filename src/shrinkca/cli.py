@@ -24,7 +24,6 @@ from .engines import (
     LfsrState,
     _ca_states,
     _lfsr_digits,
-    _lfsr_seed_at,
     _seed_to_int,
 )
 from .generators import (
@@ -97,10 +96,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             st = CaState(RuleVector(_required_bits(data, "rules")), _required_bits(data, "cells"))
             poly = st.rules.char_poly()
             seed = tuple(s & 1 for s in _ca_states(st.rules, _seed_to_int(st.cells), len(st.cells)))
-        s0 = _lfsr_seed_at(poly, seed, args.origin)
-        # 2L known bits let _lfsr_digits double its stride from its first step
-        head = s0 + _lfsr_seed_at(poly, s0, len(s0))
-        digits = [_lfsr_digits(poly, _seed_to_int(head), args.bits)]
+        digits = [_lfsr_digits(poly, seed, args.bits, args.origin)]
     _emit(chain(digits, [b"\n"]), args.output)
     return 0
 

@@ -3,7 +3,8 @@
 Register and automaton states are held as ints (bit k = stage A_k, or cell
 k+1).  An LFSR with characteristic polynomial sum c_k x^k (monic, degree L)
 realizes s_(n+L) = sum_(k<L) c_k s_(n+k); stage A_0 is the output.
-Each cell of an automaton outputs an LFSR sequence of its characteristic polynomial.
+Each cell of an automaton outputs an LFSR sequence of its characteristic
+polynomial, and every register read, at any origin, goes through `_lfsr_digits`.
 """
 
 from __future__ import annotations
@@ -125,12 +126,14 @@ class BitSeq:
 
 
 def _seed_to_int(seed: Sequence[int]) -> int:
-    state = 0
-    for k, bit in enumerate(seed):
-        if bit not in (0, 1):
-            raise ValueError("seed bits must be 0 or 1")
-        state |= bit << k
-    return state
+    """The bits packed into one int, bit k = seed[k]."""
+    try:
+        raw = bytes(seed)
+    except (TypeError, ValueError) as exc:
+        raise ValueError("seed bits must be 0 or 1") from exc
+    if raw.translate(None, b"\x00\x01"):
+        raise ValueError("seed bits must be 0 or 1")
+    return int(raw[::-1].translate(_DIGITS), 2) if raw else 0
 
 
 @dataclass(frozen=True)
@@ -171,34 +174,24 @@ def lfsr_bit_iter(charpoly: Gf2Poly, seed: Sequence[int]) -> Iterator[int]:
         state = (state >> 1) | (new << top)
 
 
-def _lfsr_seed_at(charpoly: Gf2Poly, seed: Sequence[int], step: int) -> tuple[int, ...]:
-    """The register's stages after `step` advances: s_(step + i) = <x^(step + i) mod charpoly, seed>."""
-    mod, top, state = charpoly.mask, 1 << len(seed), _seed_to_int(seed)
-    r = _pow_mod(2, step, mod)
-    stages = []
-    for _ in seed:
-        stages.append((r & state).bit_count() & 1)
-        r <<= 1
-        if r & top:
-            r ^= mod
-    return tuple(stages)
-
-
 def lfsr_bytes(charpoly: Gf2Poly, seed: Sequence[int] | int, n: int) -> bytes:
     """First n output bits of the register as 0/1 bytes; no primitivity check here.
 
-    The seed is the first L bits as a sequence, or a prefix of the output
-    packed into an int (bit t = s_t), of which the bits below max(L, its
-    bit length) are read: a long prefix saves the steps that would
-    recompute it.  See `_lfsr_digits` for the method.
+    The seed is as for `_lfsr_digits`: a long int prefix saves the steps
+    that would recompute it.
     """
     return _lfsr_digits(charpoly, seed, n).translate(_VALUES)
 
 
-def _lfsr_digits(charpoly: Gf2Poly, seed: Sequence[int] | int, n: int) -> bytes:
-    """`lfsr_bytes` as ASCII digits, the form format() gives them in.
+def _lfsr_digits(charpoly: Gf2Poly, seed: Sequence[int] | int, n: int, origin: int = 0) -> bytes:
+    """Output bits origin .. origin + n - 1 of the register as ASCII digits, the form format() gives.
 
-    Works on the bits packed into one int (bit t = s_t).  If x^m = r(x)
+    A sequence seed is the register's first L bits.  Since
+    s_t = <x^t mod p, seed>, the first min(2L, n) bits from `origin` are
+    read off x^origin mod p, one shift and reduction a bit.  An int seed is
+    a known prefix of the output from position 0 (bit t = s_t), of which
+    the bits below max(L, its bit length) are read; `origin` must be 0.
+    The rest comes from the known bits, packed into one int.  If x^m = r(x)
     mod p, then s_(t+m) is the sum of s_(t+i) over r's exponents i.  With
     m <= K for the K bits known, that gives the next m - deg r bits with
     one shift and XOR per term of r.  m starts at L, with r the lower terms
@@ -210,17 +203,23 @@ def _lfsr_digits(charpoly: Gf2Poly, seed: Sequence[int] | int, n: int) -> bytes:
     deg = charpoly.degree
     if deg is None or deg < 1:
         raise ValueError("characteristic polynomial must have degree >= 1")
+    if n < 0 or origin < 0:
+        raise ValueError("bit count and origin must be nonnegative")
+    mod = charpoly.mask
     if isinstance(seed, int):
-        if seed < 0:
-            raise ValueError("seed must be nonnegative")
+        if seed < 0 or origin:
+            raise ValueError("an int seed is a nonnegative prefix from position 0")
         state, known = seed, max(deg, seed.bit_length())
     elif len(seed) != deg:
         raise ValueError("seed length mismatch")
     else:
-        state, known = _seed_to_int(seed), deg
-    if n < 0:
-        raise ValueError("bit count must be nonnegative")
-    mod = charpoly.mask
+        fill, top, x = _seed_to_int(seed), 1 << deg, _pow_mod(2, origin, mod)
+        state, known = 0, min(2 * deg, n)
+        for i in range(known):
+            state |= ((x & fill).bit_count() & 1) << i
+            x <<= 1
+            if x & top:
+                x ^= mod
     r, m = mod ^ (1 << deg), deg
     terms = Gf2Poly(r).exponents()
     while known < n:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, compress
 from typing import Iterable, Iterator, Sequence
 
-from .engines import _VALUES, BitSeq, ZeroSeed, _lfsr_digits, _lfsr_seed_at, lfsr_bit_iter, lfsr_bytes
+from .engines import _VALUES, BitSeq, ZeroSeed, _lfsr_digits, lfsr_bit_iter, lfsr_bytes
 from .gf2 import Gf2Poly, NonPrimitiveModulus, berlekamp_massey, is_primitive
 
 __all__ = [
@@ -285,11 +285,11 @@ def _window(
     stride S.  Bits repeat with period d * P, so the origin is taken
     modulo that, and the window covers rows q0 .. q1 of the columns.
 
-    SR2 starts at the window's first row q0, step J = q0 * S mod P, from
-    the seed x^J mod c2 applied to is2 (is2 itself when J = 0), so SR2 is
-    run over the window's own span only, never over the rows it skips.  It
-    is read as ASCII digits, the form format() gives, and each block is
-    translated once at the end, or not at all for the digits table.
+    SR2 is read from is2 at the window's first row q0, origin
+    J = q0 * S mod P (`_lfsr_digits` jumps there), so SR2 is run over the
+    window's own span only, never over the rows it skips.  It is read as
+    ASCII digits, the form format() gives, and each block is translated
+    once at the end, or not at all for the digits table.
 
     A window whose column reads stay inside one SR2 period is one block.
     Its first h = min(rows, 2 l2) rows are one strided slice of SR2 per
@@ -336,20 +336,20 @@ def _window(
     a = lfsr_bytes(spec.c1, spec.is1, span + spec.l1)
     adv = clock_advances(a, spec.taps)
     offsets, advance = list(compress(adv, a[:span]))[:width], adv[span]
-    seed = _lfsr_seed_at(spec.c2, spec.is2, first * advance % period)
+    jump = first * advance % period
     if offsets[-1] + (rows - 1) * advance < period:
         head = min(rows, 2 * spec.l2)
         if (rows - head) * advance - (col + n) <= _EXTEND_BITS:
             head = rows
         out = bytearray(head * width)
-        sr2 = _lfsr_digits(spec.c2, seed, offsets[-1] + (head - 1) * advance + 1)
+        sr2 = _lfsr_digits(spec.c2, spec.is2, offsets[-1] + (head - 1) * advance + 1, jump)
         for c, off in enumerate(offsets):
             out[c::width] = sr2[off::advance]
         if head < rows:
             return [_from_digits(_extended(out, width, spec.l2, col + n)[col:], table)]
         del out[col + n :], out[:col]
         return [_from_digits(out, table)]
-    sr2 = _lfsr_digits(spec.c2, seed, period)
+    sr2 = _lfsr_digits(spec.c2, spec.is2, period, jump)
     stride = advance % period
     g = math.gcd(stride, period)
     length = period // g

@@ -26,6 +26,7 @@ PUBLIC53 = {"l1": 4, "l2": 5, "c1": "0,3,4", "c2": "0,1,3,4,5"}
 INTERCEPT53 = "101000011001110011010011"
 README53 = dict(PUBLIC53, is1="1001", is2="10101")
 PUBLIC_L1_33 = {"l1": 33, "l2": 35, "c2": "0,2,35"}
+CA10 = {"rules": "0111001110", "cells": "0001110110"}  # the printed 10-cell automaton
 
 
 @pytest.fixture
@@ -850,8 +851,10 @@ class TestTooLargeForMemory:
         [
             (README53, ["generate", "--kind", "shrink", "--bits", "100000000000"]),
             (PUBLIC_L1_33, ["linearize"]),  # two automata of 35 * 2^32 cells
+            (README53, ["generate", "--kind", "lfsr", "--bits", "100000000000", "--origin", "7"]),
+            (CA10, ["generate", "--kind", "ca", "--bits", "100000000000", "--origin", "7"]),
         ],
-        ids=["generate", "linearize"],
+        ids=["generate", "linearize", "lfsr", "ca"],
     )
     def test_exit_2_without_traceback(self, tmp_path, data, argv):
         path = tmp_path / "spec.json"

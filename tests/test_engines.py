@@ -9,6 +9,8 @@ from shrinkca.engines import (
     LfsrState,
     ZeroSeed,
     _cell_basis_traces,
+    _lfsr_digits,
+    _seed_to_int,
     ca_generate,
     ca_step,
     decimate,
@@ -17,7 +19,7 @@ from shrinkca.engines import (
     lfsr_generate,
     solve_cell_seed,
 )
-from shrinkca.gf2 import Gf2Poly, NonPrimitiveModulus, RuleVector
+from shrinkca.gf2 import Gf2Poly, NonPrimitiveModulus, RuleVector, _mod_mask, _pow_mod
 
 # 10 successive states of the 10-cell automaton with rules 0111001110
 AUTOMATON_ROWS = [
@@ -32,6 +34,9 @@ AUTOMATON_ROWS = [
     "0111110010",
     "1011011111",
 ]
+
+
+DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def bits(text: str) -> tuple[int, ...]:
@@ -159,6 +164,57 @@ class TestLfsrBytes:
             lfsr_bytes(poly, (1, 0, 0, 0), -1)
         with pytest.raises(ValueError):
             lfsr_bytes(Gf2Poly.parse("0"), (), 5)
+        with pytest.raises(ValueError):
+            _lfsr_digits(poly, (1, 0, 0, 0), 5, -1)
+        with pytest.raises(ValueError):  # an int seed is a prefix from position 0
+            _lfsr_digits(poly, 0b1001, 5, 3)
+
+    @staticmethod
+    def _start_cases(rng: random.Random):
+        """(poly, seed) pairs: every degree 1..31 with x^L + 1, x^L and random
+        (mostly non-primitive) polynomials, then dense degrees 64, 200 and 1000;
+        each with a random seed and the all-zero one."""
+        for deg in [*range(1, 32), 64, 200, 1000]:
+            if deg < 32:
+                masks = [(1 << deg) | 1, 1 << deg] + [(1 << deg) | rng.getrandbits(deg) for _ in range(2)]
+            else:
+                masks = [(1 << deg) | rng.getrandbits(deg) | 1]
+            for mask in masks:
+                for seed in (tuple(rng.getrandbits(1) for _ in range(deg)), (0,) * deg):
+                    yield Gf2Poly(mask), seed
+
+    def test_start_at_any_origin(self):
+        """Bits origin .. origin + n - 1 against the bit-serial register; at 2^40,
+        against the stages <x^(2^40) x^i mod p, seed> continued bit-serially."""
+        rng = random.Random(2 * 40)
+        for poly, seed in self._start_cases(rng):
+            deg, fill = poly.degree, _seed_to_int(seed)
+            lengths = (0, 1, deg, 2 * deg + 1, rng.randrange(4 * deg + 64))
+            near = (0, 1, deg - 1, deg, 2 * deg, rng.randrange(4 * deg + 64))
+            serial = bytes(itertools.islice(lfsr_bit_iter(poly, seed), max(near) + max(lengths)))
+            x40 = _pow_mod(2, 1 << 40, poly.mask)
+            far = tuple((_mod_mask(x40 << i, poly.mask) & fill).bit_count() & 1 for i in range(deg))
+            serial_far = bytes(itertools.islice(lfsr_bit_iter(poly, far), max(lengths)))
+            for n in lengths:
+                for origin in near:
+                    got = _lfsr_digits(poly, seed, n, origin)
+                    assert got == serial[origin : origin + n].translate(DIGITS), (poly.to_text(), origin, n)
+                assert _lfsr_digits(poly, seed, n, 1 << 40) == serial_far[:n].translate(DIGITS), (poly.to_text(), n)
+                assert _lfsr_digits(poly, fill, n) == serial[:n].translate(DIGITS), (poly.to_text(), n)
+
+
+class TestSeedToInt:
+    def test_matches_the_bit_loop(self):
+        rng = random.Random(2000)
+        for size in (0, 1, 2, 63, 64, 65, *(rng.randrange(2001) for _ in range(40)), 2000):
+            seed = tuple(rng.getrandbits(1) for _ in range(size))
+            assert _seed_to_int(seed) == sum(bit << k for k, bit in enumerate(seed)), size
+            assert _seed_to_int(list(seed)) == _seed_to_int(bytes(seed)) == _seed_to_int(seed)
+
+    @pytest.mark.parametrize("seed", [(1, 2, 0), (0, -1), (1, "1"), "10", (1, 256), (0.0, 1)])
+    def test_rejects_non_bits(self, seed):
+        with pytest.raises(ValueError, match="seed bits must be 0 or 1"):
+            _seed_to_int(seed)
 
 
 class TestLfsr:

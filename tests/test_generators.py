@@ -370,18 +370,14 @@ class TestColumnModel:
             return (_pow_mod(2, t, spec.c2.mask) & seed).bit_count() & 1
 
         jumps, sr2_bits = [], []
-        seed_at, lfsr = generators._lfsr_seed_at, generators._lfsr_digits
+        lfsr = generators._lfsr_digits
 
-        def counted_seed_at(charpoly, seed_, step):
-            jumps.append(step)
-            return seed_at(charpoly, seed_, step)
-
-        def counted_lfsr(charpoly, seed_, n):
+        def counted_lfsr(charpoly, seed_, n, origin=0):
             if charpoly == spec.c2:
+                jumps.append(origin)
                 sr2_bits.append(n)
-            return lfsr(charpoly, seed_, n)
+            return lfsr(charpoly, seed_, n, origin)
 
-        monkeypatch.setattr(generators, "_lfsr_seed_at", counted_seed_at)
         monkeypatch.setattr(generators, "_lfsr_digits", counted_lfsr)
         near_end = next(q for q in range(period - 1, 0, -1) if q * advance % period > period - 2 * advance)
         windows = [
