@@ -7,7 +7,9 @@ Usage (from the repository root):
 It prints three lines, `library <sha256>`, `cli <sha256>` and
 `linear <sha256>`. Run it at two checkouts: a change that claims the
 attack's output, or the CLI's, is byte-identical must print the same
-digest as its parent.
+digest as its parent. `bench/differential.expected` holds the three lines
+the tree prints, and CI diffs a run against it, so a change that alters
+them updates that file and says why.
 
 The library sample is COUNT instances drawn from random.Random(SEED). Each has l1
 in 1..9, a coprime l2 in l1 + 1..13, primitive c1 and c2, 0, 1, 2 or l1

@@ -11,8 +11,9 @@ drawn from a random.Random seeded by the rung itself, so every checkout
 attacks the same instances. The intercept is the first
 r = max(3 * 2^(l1-1), 2 * (l1 + l2)) keystream bits.
 
-One run is one `full_attack` with `is_primitive`'s cache cleared first, so
-it proves c1, c2 and the base again, as a CLI attack on a fresh spec does.
+One run is one `full_attack` with the caches of `is_primitive` and of
+`gf2._prime_factors` cleared first, so it factors each 2^m - 1 and proves
+c1, c2 and the base again, as a CLI attack in a fresh process does.
 Its layers are timed inside that call, by wrapping the functions it calls
 for the length of the run:
 
@@ -119,7 +120,7 @@ def _one_run(l1: int, l2: int, w: int) -> tuple[dict[str, float], str]:
     from shrinkca import attack, full_attack, is_primitive, linearize
     from shrinkca.cli import _emit
     from shrinkca.engines import _DIGITS
-    from shrinkca.gf2 import MAX_FIELD_DEGREE, FieldTable
+    from shrinkca.gf2 import MAX_FIELD_DEGREE, FieldTable, _prime_factors
 
     public, planted, intercepted = _instance(l1, l2, w)
     times: dict[str, float] = {}
@@ -144,6 +145,7 @@ def _one_run(l1: int, l2: int, w: int) -> tuple[dict[str, float], str]:
     for owner, attr, name in wrapped:
         setattr(owner, attr, timed(name, getattr(owner, attr)))
     is_primitive.cache_clear()
+    _prime_factors.cache_clear()
     try:
         result = timed("full_attack", full_attack)(intercepted, public)
     except Exception as exc:  # an attack that does not recover is recorded, not fatal

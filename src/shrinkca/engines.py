@@ -154,7 +154,7 @@ class LfsrState:
             raise NonPrimitiveModulus(f"{self.charpoly.to_text()} is not primitive")
         if len(self.seed) != deg:
             raise ValueError(f"seed length {len(self.seed)} != degree {deg}")
-        if not any(self.seed):
+        if not _seed_to_int(self.seed):
             raise ZeroSeed("LFSR seed must be nonzero")
 
 

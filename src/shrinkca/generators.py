@@ -15,6 +15,7 @@ identically 1, which is the plain generator again.
 
 from __future__ import annotations
 
+import copy
 import io
 import math
 import warnings
@@ -97,6 +98,17 @@ def _check_shape(l1: int, l2: int, c2: Gf2Poly, taps: Sequence[int]) -> None:
         raise ValueError(f"taps must lie in [0, {l1})")
 
 
+def _check_seeds(l1: int, l2: int, is1: Sequence[int] | None, is2: Sequence[int] | None) -> None:
+    """Each seed given must have its register's length, 0/1 bits and a 1."""
+    for name, seed, length in (("is1", is1, l1), ("is2", is2, l2)):
+        if seed is None:
+            continue
+        if len(seed) != length or any(b not in (0, 1) for b in seed):
+            raise ValueError(f"{name} must be {length} bits")
+        if not any(seed):
+            raise ZeroSeed(f"{name} must be nonzero")
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Static parameters of a (clock-controlled) shrinking generator.
@@ -120,13 +132,7 @@ class GeneratorSpec:
         for name, poly in (("c1", self.c1), ("c2", self.c2)):
             if not is_primitive(poly):
                 raise NonPrimitiveModulus(f"{name} = {poly.to_text()} is not primitive")
-        for name, seed, length in (("is1", self.is1, self.l1), ("is2", self.is2, self.l2)):
-            if seed is None:
-                continue
-            if len(seed) != length or any(b not in (0, 1) for b in seed):
-                raise ValueError(f"{name} must be {length} bits")
-            if not any(seed):
-                raise ZeroSeed(f"{name} must be nonzero")
+        _check_seeds(self.l1, self.l2, self.is1, self.is2)
         if self.taps and len(self.taps) == self.l1:
             warnings.warn(
                 "tap count equals the control register length; clocking leaks the whole SR1 state",
@@ -162,7 +168,16 @@ class GeneratorSpec:
         return out
 
     def with_seeds(self, is1: tuple[int, ...], is2: tuple[int, ...]) -> "GeneratorSpec":
-        return GeneratorSpec(self.l1, self.l2, self.c1, self.c2, is1, is2, self.taps)
+        """This spec with seeds is1 and is2.
+
+        Only the seeds are checked: the rest was checked, and warned about,
+        when this spec was built, so a seeded copy does not warn again.
+        """
+        _check_seeds(self.l1, self.l2, is1, is2)
+        seeded = copy.copy(self)
+        object.__setattr__(seeded, "is1", is1)
+        object.__setattr__(seeded, "is2", is2)
+        return seeded
 
 
 def _require_seeds(spec: GeneratorSpec) -> None:
@@ -224,18 +239,19 @@ def _from_digits(digits: bytes, table: bytes | None) -> bytes:
     return digits if images == b"01" else digits.translate(bytes.maketrans(b"01", images))
 
 
-def _column_base(rows: bytes, width: int, l2: int) -> Gf2Poly | None:
-    """The minimal polynomial of the columns of digit `rows`, or None when every column is zero.
+def _column_base(rows: bytes, width: int, l2: int) -> Gf2Poly:
+    """The minimal polynomial of the columns of digit `rows`; x when every column is zero.
 
     rows holds at least 2 * l2 rows of `width` columns, each column a
     decimation of one l2-stage m-sequence, so every column is annihilated by
     one irreducible polynomial of degree at most l2.  A nonzero column has
     no l2 zeros in a row, so the first 1 of the first l2 rows lies in one,
     and Berlekamp-Massey on its first 2 * l2 bits returns that polynomial.
+    The zero sequence satisfies s_(t+1) = 0, which is x.
     """
     first = rows.find(b"1", 0, l2 * width)
     if first < 0:
-        return None
+        return Gf2Poly(0b10)
     return berlekamp_massey(rows[first % width : 2 * l2 * width : width].translate(_VALUES))
 
 
@@ -246,8 +262,6 @@ def _extended(rows: bytes, width: int, l2: int, count: int) -> bytes:
     satisfies base(x^width), and `_lfsr_digits` continues it from all of `rows`.
     """
     base = _column_base(rows, width, l2)
-    if base is None:
-        return b"0" * count
     spread = Gf2Poly.from_exponents(e * width for e in base.exponents())
     return _lfsr_digits(spread, int(rows[::-1], 2), count)
 

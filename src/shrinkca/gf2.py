@@ -3,15 +3,11 @@
 Polynomials live in plain ints, one bit per degree: bit k holds the
 coefficient of x^k, so 0b100101 is 1 + x^2 + x^5.  The canonical text form
 is the comma-separated exponent list ("0,2,5").  Everything here is exact,
-desk-scale algebra.  FieldTable keeps no table of 2^m entries; it
-is refused above degree MAX_FIELD_DEGREE = 24.  The CLI attack's
-full-period report of 2^(l1-1) (2^m - 1) bits no longer holds the period:
-it is written in blocks of rows from one SR2 period and its repeated
-decimated column.  At l1 = 4, m = 23 (67 Mbit) a whole `attack --output`
-run took 0.24 s and 62 MiB peak RSS, 24.6 MiB under tracemalloc, where
-holding the period took 0.54 s and 198 MiB (Python 3.11, 2-vCPU VM).  What
-is left is that SR2 column, about 3 bytes per SR2 bit at the peak, which
-doubles per degree: 6 GiB at m = 31.
+desk-scale algebra: primitivity tests, minimal polynomials, Berlekamp-Massey,
+GF(2^m) by baby-step giant-step (FieldTable) and a GF(2) linear system.
+FieldTable is refused above degree MAX_FIELD_DEGREE = 24: its giant-step
+table and each discrete log grow as 2^m / 4096, and at degree 24 the table
+takes about 15 ms to build and a log about 1 ms.
 """
 
 from __future__ import annotations
@@ -167,8 +163,9 @@ def _rho_factor(n: int) -> int:
     raise ArithmeticError(f"no factor found for {n}")
 
 
-def _prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n >= 1, ascending."""
+@cache
+def _prime_factors(n: int) -> tuple[int, ...]:
+    """Distinct prime factors of n >= 1, ascending; cached, so each n is factored once."""
     if n < 1:
         raise ValueError("can only factor positive integers")
     out = set()
@@ -185,7 +182,7 @@ def _prime_factors(n: int) -> list[int]:
         else:
             f = _rho_factor(m)
             stack += [f, m // f]
-    return sorted(out)
+    return tuple(sorted(out))
 
 
 @dataclass(frozen=True, order=True)
@@ -291,23 +288,25 @@ def is_irreducible(p: Gf2Poly) -> bool:
 
 @cache
 def is_primitive(p: Gf2Poly) -> bool:
-    """True when p is irreducible and x generates the full multiplicative group mod p.
+    """True when x has order 2^m - 1 modulo p, for m = deg p >= 1 and p(0) = 1.
 
-    Cached: a spec, its seeded copies, its field table and its minimal
-    polynomials all ask about the same few polynomials.
+    x^(2^m) = x (m squarings) gives x^(2^m - 1) = 1, x being a unit, and
+    x^((2^m - 1) / q) != 1 for each prime q | 2^m - 1 leaves no lower order.
+    That proves p irreducible: the 2^m - 1 powers of x are units, so every
+    nonzero residue is.  Cached: a spec, its seeded copies, its field table
+    and its minimal polynomials all ask about the same few polynomials.
     """
     m = p.degree
-    if m is None or m < 1:
+    if m is None or m < 1 or not p.mask & 1:
         return False
-    if not p.mask & 1:
-        return False
-    if not is_irreducible(p):
+    mod = p.mask
+    x = t = _mod_mask(0b10, mod)
+    for _ in range(m):
+        t = _mul_mod(t, t, mod)
+    if t != x:
         return False
     order = (1 << m) - 1
-    for q in _prime_factors(order):
-        if _pow_mod(0b10, order // q, p.mask) == 1:
-            return False
-    return True
+    return all(_pow_mod(0b10, order // q, mod) != 1 for q in _prime_factors(order))
 
 
 def continuant_poly(rules: Sequence[int]) -> Gf2Poly:

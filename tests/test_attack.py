@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -502,6 +503,18 @@ class TestFullAttack:
         # attack must run from the public part alone
         res = full_attack(BitSeq.parse(INTERCEPT), public_spec())
         assert res.is1 is not None
+
+    def test_seeded_copies_do_not_warn(self):
+        # the caller silenced the tap-count warning when it built the spec;
+        # verification and the report build seeded copies, which must not warn again
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pub = GeneratorSpec(3, 5, Gf2Poly.parse("0,2,3"), Gf2Poly.parse("0,2,5"), taps=(0, 1, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = full_attack(BitSeq.parse("111100001111010000100000"), pub)
+            assert len(res.keystream) == 4 * 31
+        assert (res.is1, res.is2) == ((1, 0, 1), (1, 0, 1, 1, 0))
 
 
 class TestLazyReport:

@@ -830,6 +830,21 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout == "1010110110010\n"
 
+    def test_tap_count_warns_once(self, tmp_path):
+        # from_json warns; the attack's seeded copies of the spec must not warn again
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"l1": 3, "l2": 5, "c1": "0,2,3", "c2": "0,2,5", "taps": [0, 1, 2]}))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(shrinkca.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "shrinkca", "attack", "--spec", str(path), "--intercepted", "111100001111010000100000"],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["is2"] == "10110"
+        assert proc.stderr.count("UserWarning: tap count equals") == 1
+
     def test_no_arguments_shows_usage(self):
         proc = subprocess.run(
             [sys.executable, "-m", "shrinkca"], capture_output=True, text=True

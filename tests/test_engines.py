@@ -238,6 +238,11 @@ class TestLfsr:
         with pytest.raises(ValueError):
             LfsrState(Gf2Poly.parse("0,2,3"), (1, 0))
 
+    @pytest.mark.parametrize("bit", [2, -1, 1.0, "1"])
+    def test_seed_bits_checked_when_built(self, bit):
+        with pytest.raises(ValueError, match="seed bits must be 0 or 1"):
+            LfsrState(Gf2Poly.parse("0,1,4"), (bit, 0, 0, 0))
+
     def test_iter_matches_generate(self):
         reg = LfsrState(Gf2Poly.parse("0,1,4"), (1, 1, 0, 1))
         stream = lfsr_bit_iter(reg.charpoly, reg.seed)

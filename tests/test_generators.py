@@ -498,7 +498,8 @@ class TestColumnBase:
     def test_all_zero_columns_have_no_base(self):
         for l2, width in ((3, 1), (5, 4), (8, 16)):
             rows = b"0" * 2 * l2 * width
-            assert generators._column_base(rows, width, l2) is None
+            # no nonzero column: the base is x, since the zero sequence satisfies s_(t+1) = 0
+            assert generators._column_base(rows, width, l2) == Gf2Poly(0b10)
             assert generators._extended(rows, width, l2, 1000) == b"0" * 1000
 
     def test_zero_columns_beside_nonzero_ones(self):
@@ -516,6 +517,9 @@ class TestColumnBase:
             head = digits[: 2 * deg * width]
             assert generators._column_base(head, width, deg) == p
             assert generators._extended(head, width, deg, len(z)) == digits
+            # column 0 alone is the zero sequence: base x, continued as zeros
+            assert generators._column_base(head[::width], 1, deg) == Gf2Poly(0b10)
+            assert generators._extended(head[::width], 1, deg, rows) == b"0" * rows
 
 
 def ones_positions(spec: GeneratorSpec) -> tuple[list[int], int]:

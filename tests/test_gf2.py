@@ -51,6 +51,15 @@ def brute_primitive(p: Gf2Poly) -> bool:
     return acc == ONE
 
 
+def irreducible_then_order(p: Gf2Poly) -> bool:
+    """Primitivity as Rabin's irreducibility test followed by the order test."""
+    m = p.degree
+    if m is None or m < 1 or not p.mask & 1 or not is_irreducible(p):
+        return False
+    order = (1 << m) - 1
+    return all(_pow_mod(0b10, order // q, p.mask) != 1 for q in _prime_factors(order))
+
+
 def conjugate_product_min_poly(modulus: Gf2Poly, e: int) -> Gf2Poly:
     # product of (x + lambda^(e 2^i)) over the conjugates, by repeated squaring
     m, mod = modulus.degree, modulus.mask
@@ -191,12 +200,36 @@ class TestIrreduciblePrimitive:
                 f += 1 if f == 2 else 2
             return out + ([n] if n > 1 else [])
 
-        for n in range(1, 1 << 16):
-            assert _prime_factors(n) == trial(n), n
-        assert _prime_factors((1 << 62) - 1) == [3, 715827883, 2147483647]
-        assert _prime_factors((1 << 67) - 1) == [193707721, 761838257287]
+        for n in range(1, 1 << 16):  # uncached, so the cache keeps only the 2^m - 1 asked for
+            assert _prime_factors.__wrapped__(n) == tuple(trial(n)), n
+        assert _prime_factors((1 << 62) - 1) == (3, 715827883, 2147483647)
+        assert _prime_factors((1 << 67) - 1) == (193707721, 761838257287)
+        assert _prime_factors((1 << 67) - 1) is _prime_factors((1 << 67) - 1)
         assert 3 * 715827883 * 2147483647 == (1 << 62) - 1
         assert 193707721 * 761838257287 == (1 << 67) - 1
+
+    def test_every_degree_up_to_12_against_the_oracle(self):
+        for mask in range(1 << 13):
+            p = Gf2Poly(mask)
+            assert is_primitive(p) == irreducible_then_order(p), p.to_text()
+
+    def test_primitive_counts_are_totient_over_degree(self):
+        for m in range(1, 13):
+            order = (1 << m) - 1
+            phi = order
+            for q in _prime_factors(order):
+                phi -= phi // q
+            count = sum(map(is_primitive, map(Gf2Poly, range(1 << m | 1, 2 << m, 2))))
+            assert count == phi // m, m
+
+    def test_seeded_degrees_13_to_64_against_the_oracle(self):
+        # random polynomials with p(0) = 1, drawn at each degree until one is primitive
+        rng = random.Random(64)
+        for m in range(13, 65):
+            p = None
+            while p is None or not is_primitive(p):
+                p = Gf2Poly(1 << m | rng.getrandbits(m) | 1)
+                assert is_primitive(p) == irreducible_then_order(p), p.to_text()
 
     def test_against_brute_force(self):
         rng = random.Random(13)
