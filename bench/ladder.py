@@ -20,7 +20,11 @@ for the length of the run:
 - linearize: `linearize_model`, min_poly included
 - min_poly: `min_poly_of_power` of the coset exponent
 - field: `FieldTable.build`
-- phase1, phase2: `phase1_reconstruct`, `phase2_search`
+- phase1: `attack._phase1_positions`, the positions pass that names phase 1's
+  positions once the search on the intercept has recovered the seeds, plus
+  `phase1_reconstruct` when the attack falls back to phase 1 with its bits
+- phase2: `phase2_search`, once on the intercept, plus once on phase 1's
+  bits in the fallback
 - full_attack: the whole attack, with its report unread
 - regeneration: the full-period keystream the attack reports, which
   `AttackResult.keystream` regenerates each time it is read
@@ -138,6 +142,7 @@ def _one_run(l1: int, l2: int, w: int) -> tuple[dict[str, float], str]:
         (linearize, "min_poly_of_power", "min_poly"),
         (attack, "linearize_model", "linearize"),
         (FieldTable, "build", "field"),
+        (attack, "_phase1_positions", "phase1"),
         (attack, "phase1_reconstruct", "phase1"),
         (attack, "phase2_search", "phase2"),
     )

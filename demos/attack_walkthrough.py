@@ -10,6 +10,7 @@ from shrinkca import (
     linearize_generator,
     min_poly_of_power,
     phase1_reconstruct,
+    phase2_search,
     shrink_generate,
 )
 
@@ -34,14 +35,16 @@ print(f"  {len(derived)} keystream bits recovered beyond the intercept")
 
 print()
 print("-- phase 2: prune control seeds against the recovered columns --")
-result = full_attack(intercepted, public)
-for rec in result.phase2_records:
+# full_attack searches the intercept alone, which finds the same seeds: phase 1's
+# bits add no rank.  The search on phase 1's bits rejects some columns earlier.
+for rec in phase2_search(known, public, table).records:
     prefix = "".join(map(str, rec.prefix))
     if rec.outcome == "rejected":
         print(f"  {prefix:<6} column {rec.column}: contradiction at row {rec.row}")
     elif rec.outcome == "survivor":
         print(f"  {prefix:<6} survives every column")
 
+result = full_attack(intercepted, public)
 print()
 print(f"recovered seeds: is1={''.join(map(str, result.is1))}"
       f" is2={''.join(map(str, result.is2))}")

@@ -5,11 +5,6 @@ taps) and an intercepted keystream prefix starting at position 0.  The
 keystream is viewed as an interleaving of d = 2^(l1-1) columns, every one
 a shifted copy of a single PN sequence of period 2^l2 - 1.
 
-Phase 1 grows the known-bit set without guessing: window identities taken
-from the 90/150 model's sub-automaton polynomials collapse, via
-shift-and-add in GF(2^l2), into single keystream bits outside the
-intercepted prefix.
-
 Phase 2 recovers the seeds.  Hypotheses on SR1 place the 1s of its output
 period, which fixes each column's shift against column 0; a hypothesis
 survives if its column bits match column 0 directly (stage one) and stay
@@ -21,7 +16,19 @@ output is a window of one m-sequence period, and the column shifts of every
 node, prefix or complete, are differences of one clock over that period,
 both built once per attack.
 Survivors are completed to SR2 seeds by solving that system at the
-decimation-inverse rows, then verified by regeneration.
+decimation-inverse rows, then verified by regeneration.  On the intercepted
+bits alone, this is Zeng, Yang and Rao's linear consistency test
+(CRYPTO '89).
+
+Phase 1 names the keystream bits the intercept determines without guessing:
+window identities taken from the 90/150 model's sub-automaton polynomials
+collapse, via shift-and-add in GF(2^l2), into single keystream bits outside
+the intercepted prefix.  Those bits add no rank to phase 2: each is the XOR
+of intercepted bits in its own column, at that column's shift, so its
+equation is a sum of equations phase 2 already holds at the same node.
+`full_attack` therefore searches the intercept alone and, on success, lists
+phase 1's positions without reading a bit; only a failed search runs phase 1
+with its bits, to diagnose the failure (ConflictingReconstruction).
 """
 
 from __future__ import annotations
@@ -199,33 +206,20 @@ def _require_zero_origin(intercepted: BitSeq) -> None:
         raise ValueError("interception must start at keystream position 0")
 
 
-def phase1_reconstruct(
-    intercepted: BitSeq,
-    ca_pair: tuple[RuleVector, RuleVector],
-    l1: int,
-    table: FieldTable,
-) -> tuple[KnownBits, tuple[Phase1Record, ...]]:
-    """Extend the intercepted prefix with every bit the window identities pin down.
+def _identities(
+    ca_pair: tuple[RuleVector, RuleVector], d: int, r: int, table: FieldTable
+) -> Iterator[tuple[int, int, int, tuple[int, ...], int]]:
+    """Every window identity an r-bit prefix holds: (ca, cell, power, offsets, row shift).
 
     The identities are the powers of each sub-automaton polynomial P = P_(cell-1),
     stepped once per automaton by P_i = (x + R_i) P_(i-1) + P_(i-2).  P^k stays in
     one interleaving column (its offsets agree modulo d = 2^(l1-1)) exactly when
     step = max(d >> a, 1) divides k, 2^a the largest power of two dividing every
-    exponent of P / x^u, u the lowest; only those powers are built.  Shift-and-add
-    turns the window sum into a single column bit, usually far beyond the prefix.
+    exponent of P / x^u, u the lowest; only those powers are built.  A power is
+    yielded when its column power sum is nonzero: the window sum at offsets
+    t + o is then the bit at t + offsets[0] + d * row shift.
     """
-    _require_zero_origin(intercepted)
-    d = 1 << (l1 - 1)
-    period = d * table.order
-    r = len(intercepted)
-    if r < 1 or r > period:
-        raise ValueError(f"intercepted length must be in [1, {period}]")
     mask = _span_masks(d, r)
-    raw = intercepted.raw
-    known = KnownBits(period)
-    for p, bit in enumerate(raw):
-        known.add(p, bit, "intercepted")
-    records = []
     for ca_idx, rv in enumerate(ca_pair):
         prev2, prev = 0, 1
         for cell in range(2, len(rv) + 1):
@@ -249,21 +243,76 @@ def phase1_reconstruct(
                 poly, acc = acc, acc * base
                 offsets = poly.exponents()
                 shift = table.power_sum((o - offsets[0]) // d for o in offsets)
-                if shift is None:
-                    continue
-                produced = []
-                for t in range(r - offsets[-1]):
-                    value = 0
-                    for o in offsets:
-                        value ^= raw[t + o]
-                    pos = (t + offsets[0] + d * shift) % period
-                    if known.add(pos, value, "reconstructed"):
-                        produced.append(pos)
-                if produced:
-                    records.append(
-                        Phase1Record(ca_idx, cell, power, offsets, shift, tuple(produced))
-                    )
+                if shift is not None:
+                    yield ca_idx, cell, power, offsets, shift
+
+
+def _intercepted_bits(intercepted: BitSeq, period: int) -> KnownBits:
+    """The intercepted prefix as known bits, refused unless 1 <= length <= period."""
+    if not 1 <= len(intercepted) <= period:
+        raise ValueError(f"intercepted length must be in [1, {period}]")
+    known = KnownBits(period)
+    for p, bit in enumerate(intercepted.raw):
+        known.add(p, bit, "intercepted")
+    return known
+
+
+def phase1_reconstruct(
+    intercepted: BitSeq,
+    ca_pair: tuple[RuleVector, RuleVector],
+    l1: int,
+    table: FieldTable,
+) -> tuple[KnownBits, tuple[Phase1Record, ...]]:
+    """Extend the intercepted prefix with every bit the window identities pin down.
+
+    The identities are `_identities`'s.  Shift-and-add turns each window sum into
+    a single column bit, usually far beyond the prefix; a bit that contradicts
+    one already known raises ConflictingReconstruction.
+    """
+    _require_zero_origin(intercepted)
+    d = 1 << (l1 - 1)
+    period = d * table.order
+    known = _intercepted_bits(intercepted, period)
+    raw, r = intercepted.raw, len(intercepted)
+    records = []
+    for ca_idx, cell, power, offsets, shift in _identities(ca_pair, d, r, table):
+        produced = []
+        for t in range(r - offsets[-1]):
+            value = 0
+            for o in offsets:
+                value ^= raw[t + o]
+            pos = (t + offsets[0] + d * shift) % period
+            if known.add(pos, value, "reconstructed"):
+                produced.append(pos)
+        if produced:
+            records.append(Phase1Record(ca_idx, cell, power, offsets, shift, tuple(produced)))
     return known, tuple(records)
+
+
+def _phase1_positions(
+    r: int, ca_pair: tuple[RuleVector, RuleVector], l1: int, table: FieldTable
+) -> tuple[tuple[int, ...], tuple[Phase1Record, ...]]:
+    """Phase 1's reconstructed positions and records on an r-bit prefix of a real keystream.
+
+    A real keystream satisfies every identity, so phase 1 on it raises no
+    conflict, and `KnownBits.add` reports a new position whatever its bit: each
+    identity produces the positions (t + offsets[0] + d * shift) mod period,
+    t < r - offsets[-1], that neither the prefix nor an earlier identity holds.
+    No bit is read.
+    """
+    d = 1 << (l1 - 1)
+    period = d * table.order
+    known: set[int] = set()
+    records = []
+    for ca_idx, cell, power, offsets, shift in _identities(ca_pair, d, r, table):
+        # start < period, so the part of the run that wraps lies below r
+        start = (offsets[0] + d * shift) % period
+        run = range(max(start, r), min(start + r - offsets[-1], period))
+        produced = tuple(p for p in run if p not in known)
+        if produced:
+            known.update(produced)
+            records.append(Phase1Record(ca_idx, cell, power, offsets, shift, produced))
+    return tuple(sorted(known)), tuple(records)
 
 
 def is2_bit_positions(l1: int, l2: int, distance: int | None = None) -> tuple[int, ...]:
@@ -475,6 +524,17 @@ class AttackResult:
 def full_attack(intercepted: BitSeq, spec: GeneratorSpec) -> AttackResult:
     """Recover both seeds from an intercepted prefix and public parameters.
 
+    Phase 2 searches the intercepted bits alone; phase 1 then only names the
+    positions its identities determine.  A phase-1 bit adds no rank to the
+    search: it is the XOR of intercepted bits in its own column, at that
+    column's shift, so its equation is a sum of equations the same node holds.
+    Candidates and nodes_expanded are therefore those of a search on phase 1's
+    bits.  When a candidate regenerates the prefix, the prefix is a real
+    keystream, which no identity contradicts, so phase 1's records and
+    positions follow from positions alone.  When none does, the attack runs
+    phase 1 with its bits and searches on them, so a failed attack reports
+    what phase 1 finds.
+
     Raises DegenerateCoset when the coset base is not primitive (the
     exponent shares a factor with 2^l2 - 1), before any field is built;
     Exhausted when nothing fits (e.g. tampered material),
@@ -495,21 +555,39 @@ def full_attack(intercepted: BitSeq, spec: GeneratorSpec) -> AttackResult:
             f" is not primitive: gcd({e}, 2^{spec.l2} - 1) = {shared}"
         )
     table = FieldTable.build(model.base)
-    known, p1records = phase1_reconstruct(intercepted, model.pair, spec.l1, table)
-    result = phase2_search(known, spec, table)
-    verified = []
-    for is1, is2 in result.candidates:
-        if _interleave(spec.with_seeds(is1, is2), len(intercepted)).raw == intercepted.raw:
-            verified.append((is1, is2))
-    if not verified:
-        raise Exhausted("every surviving candidate failed regeneration")
-    if len(verified) > 1:
-        raise Ambiguous(verified, result.nodes_expanded)
-    is1, is2 = verified[0]
+    known = _intercepted_bits(intercepted, d * table.order)
+
+    def verified(result: Phase2Result) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        n = len(intercepted)
+        return [
+            (is1, is2)
+            for is1, is2 in result.candidates
+            if _interleave(spec.with_seeds(is1, is2), n).raw == intercepted.raw
+        ]
+
+    try:
+        result = phase2_search(known, spec, table)
+        fits = verified(result)
+    except Exhausted:
+        fits = []
+    phase1 = None
+    if not fits:  # phase 1 with its bits, then the search on them: a failure says why
+        known, p1records = phase1_reconstruct(intercepted, model.pair, spec.l1, table)
+        result = phase2_search(known, spec, table)
+        fits = verified(result)
+        if not fits:
+            raise Exhausted("every surviving candidate failed regeneration")
+        phase1 = known.positions("reconstructed"), p1records
+    if len(fits) > 1:
+        raise Ambiguous(fits, result.nodes_expanded)
+    positions, p1records = phase1 or _phase1_positions(
+        len(intercepted), model.pair, spec.l1, table
+    )
+    is1, is2 = fits[0]
     return AttackResult(
         is1=is1,
         is2=is2,
-        reconstructed_positions=known.positions("reconstructed"),
+        reconstructed_positions=positions,
         nodes_expanded=result.nodes_expanded,
         phase1_records=p1records,
         phase2_records=result.records,

@@ -23,7 +23,15 @@ from dataclasses import dataclass, field
 from itertools import accumulate, compress
 from typing import Iterable, Iterator, Sequence
 
-from .engines import _VALUES, BitSeq, ZeroSeed, _lfsr_digits, lfsr_bit_iter, lfsr_bytes
+from .engines import (
+    _VALUES,
+    BitSeq,
+    ZeroSeed,
+    _lfsr_digits,
+    _seed_to_int,
+    lfsr_bit_iter,
+    lfsr_bytes,
+)
 from .gf2 import Gf2Poly, NonPrimitiveModulus, berlekamp_massey, is_primitive
 
 __all__ = [
@@ -103,9 +111,14 @@ def _check_seeds(l1: int, l2: int, is1: Sequence[int] | None, is2: Sequence[int]
     for name, seed, length in (("is1", is1, l1), ("is2", is2, l2)):
         if seed is None:
             continue
-        if len(seed) != length or any(b not in (0, 1) for b in seed):
-            raise ValueError(f"{name} must be {length} bits")
-        if not any(seed):
+        wrong = ValueError(f"{name} must be {length} bits")
+        if len(seed) != length:
+            raise wrong
+        try:
+            value = _seed_to_int(seed)  # refuses any bit but the ints 0 and 1
+        except ValueError:
+            raise wrong from None
+        if not value:
             raise ZeroSeed(f"{name} must be nonzero")
 
 

@@ -31,11 +31,17 @@ from shrinkca.gf2 import FieldTable, Gf2Poly, RuleVector, is_primitive, min_poly
 from shrinkca.generators import (
     GeneratorSpec,
     _clocked_steps,
+    _interleave,
     ccsg_generate,
     clock_advances,
     shrink_generate,
 )
-from shrinkca.linearize import DegenerateCoset, coset_exponent, linearize_generator
+from shrinkca.linearize import (
+    DegenerateCoset,
+    coset_exponent,
+    linearize_generator,
+    linearize_model,
+)
 
 INTERCEPT = "101000011001110011010011"
 RECONSTRUCTED = tuple(range(56, 64)) + tuple(range(152, 168)) + tuple(range(184, 192))
@@ -753,3 +759,128 @@ class TestExhaustiveCompleteness:
         assert attacked
         # only D = 35 (all three taps) shares a factor, 5, with 2^4 - 1
         assert degenerate == ([(0, 1, 2)] if (l1, l2) == (3, 4) else [])
+
+
+def phase1_then_phase2(intercepted: BitSeq, spec: GeneratorSpec):
+    """The attack as phase 1 with its bits, then the search on them: seeds,
+    reconstructed positions, nodes and phase 1's records, for a spec in regime."""
+    model = linearize_model(spec.l1, spec.c2, len(spec.taps))
+    table = FieldTable.build(model.base)
+    known, records = phase1_reconstruct(intercepted, model.pair, spec.l1, table)
+    result = phase2_search(known, spec, table)
+    verified = [
+        pair
+        for pair in result.candidates
+        if _interleave(spec.with_seeds(*pair), len(intercepted)).raw == intercepted.raw
+    ]
+    if not verified:
+        raise Exhausted("every surviving candidate failed regeneration")
+    if len(verified) > 1:
+        raise Ambiguous(verified, result.nodes_expanded)
+    (is1, is2), = verified
+    return is1, is2, known.positions("reconstructed"), result.nodes_expanded, records
+
+
+def attack_outcome(fn, intercepted, spec):
+    try:
+        return fn(intercepted, spec)
+    except Exception as exc:  # the exception's type and text are part of the outcome
+        return f"{type(exc).__name__}: {exc}"
+
+
+def random_primitive(rng: random.Random, m: int) -> Gf2Poly:
+    while True:
+        poly = Gf2Poly(1 << m | rng.getrandbits(m) | 1)
+        if is_primitive(poly):
+            return poly
+
+
+class TestSearchOnIntercept:
+    """full_attack searches the intercepted bits alone: phase 1's bits add no rank."""
+
+    @pytest.mark.filterwarnings("ignore:tap count equals")
+    def test_phase1_bits_change_no_candidate(self):
+        # on genuine intercepts phase 1 never conflicts, its positions pass agrees
+        # with it, and phase 2 finds the same candidates, in the same order, and
+        # expands the same nodes with and without phase 1's bits
+        rng = random.Random("search-on-intercept")
+        compared = productive = 0
+        for _ in range(150):
+            l1 = rng.randint(2, 7)
+            l2 = rng.choice([m for m in range(l1 + 1, 12) if math.gcd(l1, m) == 1])
+            w = min(rng.choice((0, 1, 2, l1)), l1)
+            if math.gcd(coset_exponent(l1, w), (1 << l2) - 1) != 1:
+                continue
+            taps = tuple(sorted(rng.sample(range(l1), w)))
+            c1, c2 = random_primitive(rng, l1), random_primitive(rng, l2)
+            pub = GeneratorSpec(l1, l2, c1, c2, taps=taps)
+            d = 1 << (l1 - 1)
+            r = rng.randint(d, 6 * d)
+            genuine = rng.random() < 0.7
+            if genuine:
+                gen = ccsg_generate if taps else shrink_generate
+                is1 = (1,) + tuple(rng.getrandbits(1) for _ in range(l1 - 1))
+                is2 = tuple(rng.getrandbits(1) for _ in range(l2 - 1)) + (1,)
+                z = BitSeq(gen(pub.with_seeds(is1, is2), r).raw)
+            else:
+                z = BitSeq(tuple(rng.getrandbits(1) for _ in range(r)))
+            pair = linearize_generator(l1, pub.c2, w)
+            table = FieldTable.build(min_poly_of_power(pub.c2, coset_exponent(l1, w)))
+            try:
+                known, records = phase1_reconstruct(z, pair, l1, table)
+            except ConflictingReconstruction:
+                assert not genuine
+                continue
+            if genuine:
+                assert attack._phase1_positions(r, pair, l1, table) == (
+                    known.positions("reconstructed"),
+                    records,
+                )
+            productive += bool(records)
+            alone = attack._intercepted_bits(z, d * table.order)
+            outcomes = []
+            for bits in (known, alone):
+                try:
+                    found = phase2_search(bits, pub, table)
+                    outcomes.append((found.candidates, found.nodes_expanded))
+                except Exhausted:
+                    outcomes.append("Exhausted")
+            assert outcomes[0] == outcomes[1], (pub.to_json(), str(z))
+            compared += 1
+        assert compared >= 100 and productive >= 50
+
+    @pytest.mark.filterwarnings("ignore:tap count equals")
+    @pytest.mark.parametrize("l1,l2", sorted(TestExhaustiveCompleteness.SHAPES))
+    def test_full_attack_equals_phase1_then_phase2(self, l1, l2):
+        # every tap set in regime, the intercept of every seed pair and random
+        # bits at lengths d to 5d, and random bits one past the period: all but
+        # phase 2's records, and every exception's type and text, are the
+        # two-phase attack's
+        c1, c2 = (Gf2Poly.parse(text) for text in TestExhaustiveCompleteness.SHAPES[l1, l2])
+        rng = random.Random(f"two-phase:{l1}:{l2}")
+        d = 1 << (l1 - 1)
+        period = d * ((1 << l2) - 1)
+        outcomes = set()
+        for w in range(l1 + 1):
+            if math.gcd(coset_exponent(l1, w), (1 << l2) - 1) != 1:
+                continue
+            for taps in itertools.combinations(range(l1), w):
+                pub = GeneratorSpec(l1, l2, c1, c2, taps=taps)
+                for r in sorted({d, 2 * d, 3 * d, min(5 * d, period), period + 1}):
+                    intercepts = {bytes(rng.getrandbits(1) for _ in range(r)) for _ in range(4)}
+                    if r <= period:
+                        intercepts |= {
+                            oracle_prefix(pub.with_seeds(is1, is2), r)
+                            for is1 in nonzero_seeds(l1)
+                            for is2 in nonzero_seeds(l2)
+                        }
+                    for raw in sorted(intercepts):
+                        z = BitSeq(raw)
+                        want = attack_outcome(phase1_then_phase2, z, pub)
+                        got = attack_outcome(full_attack, z, pub)
+                        if not isinstance(got, str):
+                            got = (got.is1, got.is2, got.reconstructed_positions,
+                                   got.nodes_expanded, got.phase1_records)
+                        assert got == want, (taps, raw)
+                        outcomes.add(want.split(":")[0] if isinstance(want, str) else "recovered")
+        assert {"recovered", "Exhausted", "ValueError"} <= outcomes

@@ -534,7 +534,10 @@ class TestAttack:
         assert code == 0
         assert "phase 1 window identities" in err
         assert "phase 2 hypotheses" in err
-        assert "rejected row=23" in err
+        # phase 2 searches the intercept alone, so each column is rejected at an intercepted row
+        assert "  111 column=2 shift=27: rejected row=0\n" in err
+        assert "  101 column=1 shift=27: rejected row=2\n" in err
+        assert "  1000 column=1 shift=23: rejected row=0\n" in err
 
     def test_tampered_intercept_exit_3(self, capsys, spec_file):
         tampered = "0" + INTERCEPT53[1:]

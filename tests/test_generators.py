@@ -73,6 +73,17 @@ class TestSpecValidation:
         with pytest.raises(ZeroSeed):
             plain_spec().with_seeds((1, 0, 0), (0, 0, 0, 0))
 
+    @pytest.mark.parametrize("bit", [1.0, 2, -1, "1"])
+    def test_seed_bits_must_be_ints_0_or_1(self, bit):
+        # refused when the spec is built, not later by the generator
+        base = plain_spec()
+        with pytest.raises(ValueError, match="^is1 must be 3 bits$"):
+            GeneratorSpec(3, 4, base.c1, base.c2, (bit, 0, 0), (1, 0, 0, 0))
+        with pytest.raises(ValueError, match="^is2 must be 4 bits$"):
+            GeneratorSpec(3, 4, base.c1, base.c2, (1, 0, 0), (bit, 0, 0, 0))
+        with pytest.raises(ValueError, match="^is2 must be 4 bits$"):
+            base.with_seeds((1, 0, 0), (1, 0, 0, bit))
+
     def test_tap_bounds(self):
         base = plain_spec()
         with pytest.raises(ValueError):
