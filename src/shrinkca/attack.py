@@ -27,8 +27,9 @@ the intercepted prefix.  Those bits add no rank to phase 2: each is the XOR
 of intercepted bits in its own column, at that column's shift, so its
 equation is a sum of equations phase 2 already holds at the same node.
 `full_attack` therefore searches the intercept alone and, on success, lists
-phase 1's positions without reading a bit; only a failed search runs phase 1
-with its bits, to diagnose the failure (ConflictingReconstruction).
+phase 1's positions without reading a bit.  A failed attack is the search's
+Exhausted; ConflictingReconstruction comes only from `phase1_reconstruct`
+(through `KnownBits.add`).
 """
 
 from __future__ import annotations
@@ -252,8 +253,9 @@ def _intercepted_bits(intercepted: BitSeq, period: int) -> KnownBits:
     if not 1 <= len(intercepted) <= period:
         raise ValueError(f"intercepted length must be in [1, {period}]")
     known = KnownBits(period)
-    for p, bit in enumerate(intercepted.raw):
-        known.add(p, bit, "intercepted")
+    # the positions are distinct, so no entry can conflict: none goes through add
+    entry = ((0, "intercepted"), (1, "intercepted"))
+    known._entries = {p: entry[bit] for p, bit in enumerate(intercepted.raw)}
     return known
 
 
@@ -531,21 +533,20 @@ def full_attack(intercepted: BitSeq, spec: GeneratorSpec) -> AttackResult:
     Candidates and nodes_expanded are therefore those of a search on phase 1's
     bits.  When a candidate regenerates the prefix, the prefix is a real
     keystream, which no identity contradicts, so phase 1's records and
-    positions follow from positions alone.  When none does, the attack runs
-    phase 1 with its bits and searches on them, so a failed attack reports
-    what phase 1 finds.
+    positions follow from positions alone.
 
     Raises DegenerateCoset when the coset base is not primitive (the
     exponent shares a factor with 2^l2 - 1), before any field is built;
-    Exhausted when nothing fits (e.g. tampered material),
-    Ambiguous when several seed pairs fit, ConflictingReconstruction when
-    phase 1 derives contradictory bits.  The result's keystream is not
-    built here: reading it regenerates the period.
+    Exhausted when nothing fits (e.g. tampered material), from the search
+    or from regeneration; Ambiguous when several seed pairs fit.  Phase 1
+    with its bits is never run, so a prefix it would contradict fails as
+    Exhausted, not ConflictingReconstruction.  The result's keystream is
+    not built here: reading it regenerates the period.
     """
     _require_zero_origin(intercepted)
-    d = 1 << (spec.l1 - 1)
-    if len(intercepted) < d:
-        raise ValueError(f"need at least {d} intercepted bits, got {len(intercepted)}")
+    d, n = 1 << (spec.l1 - 1), len(intercepted)
+    if n < d:
+        raise ValueError(f"need at least {d} intercepted bits, got {n}")
     model = linearize_model(spec.l1, spec.c2, len(spec.taps))
     e = coset_exponent(spec.l1, len(spec.taps))
     shared = math.gcd(e, (1 << spec.l2) - 1)
@@ -555,34 +556,17 @@ def full_attack(intercepted: BitSeq, spec: GeneratorSpec) -> AttackResult:
             f" is not primitive: gcd({e}, 2^{spec.l2} - 1) = {shared}"
         )
     table = FieldTable.build(model.base)
-    known = _intercepted_bits(intercepted, d * table.order)
-
-    def verified(result: Phase2Result) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        n = len(intercepted)
-        return [
-            (is1, is2)
-            for is1, is2 in result.candidates
-            if _interleave(spec.with_seeds(is1, is2), n).raw == intercepted.raw
-        ]
-
-    try:
-        result = phase2_search(known, spec, table)
-        fits = verified(result)
-    except Exhausted:
-        fits = []
-    phase1 = None
-    if not fits:  # phase 1 with its bits, then the search on them: a failure says why
-        known, p1records = phase1_reconstruct(intercepted, model.pair, spec.l1, table)
-        result = phase2_search(known, spec, table)
-        fits = verified(result)
-        if not fits:
-            raise Exhausted("every surviving candidate failed regeneration")
-        phase1 = known.positions("reconstructed"), p1records
+    result = phase2_search(_intercepted_bits(intercepted, d * table.order), spec, table)
+    fits = [
+        (is1, is2)
+        for is1, is2 in result.candidates
+        if _interleave(spec.with_seeds(is1, is2), n).raw == intercepted.raw
+    ]
+    if not fits:
+        raise Exhausted("every surviving candidate failed regeneration")
     if len(fits) > 1:
         raise Ambiguous(fits, result.nodes_expanded)
-    positions, p1records = phase1 or _phase1_positions(
-        len(intercepted), model.pair, spec.l1, table
-    )
+    positions, p1records = _phase1_positions(n, model.pair, spec.l1, table)
     is1, is2 = fits[0]
     return AttackResult(
         is1=is1,

@@ -3,8 +3,7 @@
 Exit codes: 0 success, 2 validation problem (bad arguments, malformed
 spec, zero seed, non-primitive polynomial, degenerate parameters, a
 request too large for the memory available),
-3 attack found no consistent state (exhausted search or conflicting
-reconstruction), 4 attack found several.
+3 attack found no consistent state (Exhausted), 4 attack found several.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import sys
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .attack import Ambiguous, ConflictingReconstruction, Exhausted, full_attack
+from .attack import Ambiguous, Exhausted, full_attack
 from .engines import (
     _DIGITS,
     BitSeq,
@@ -191,7 +190,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (Exhausted, ConflictingReconstruction) as exc:
+    except Exhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Ambiguous as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .gf2 import Gf2LinearSystem, Gf2Poly, NonPrimitiveModulus, RuleVector, _mul_mod, _pow_mod, is_primitive
+from .gf2 import Gf2LinearSystem, Gf2Poly, NonPrimitiveModulus, RuleVector, _bit_bytes, _mul_mod, _pow_mod, is_primitive
 
 __all__ = [
     "ZeroSeed",
@@ -49,12 +49,7 @@ class BitSeq:
     def __init__(self, bits: Sequence[int], origin: int = 0) -> None:
         if isinstance(bits, int):  # bytes(5) would be five zero bits
             raise ValueError(f"bits must be a sequence of 0/1 values, got {bits!r}")
-        try:
-            raw = bytes(bits)
-        except (TypeError, ValueError) as exc:
-            raise ValueError("bits must be 0 or 1") from exc
-        if raw.translate(None, b"\x00\x01"):
-            raise ValueError("bits must be 0 or 1")
+        raw = _bit_bytes(bits, "bits must be 0 or 1")
         if origin < 0:
             raise ValueError("origin must be nonnegative")
         object.__setattr__(self, "_raw", raw)
@@ -127,12 +122,7 @@ class BitSeq:
 
 def _seed_to_int(seed: Sequence[int]) -> int:
     """The bits packed into one int, bit k = seed[k]."""
-    try:
-        raw = bytes(seed)
-    except (TypeError, ValueError) as exc:
-        raise ValueError("seed bits must be 0 or 1") from exc
-    if raw.translate(None, b"\x00\x01"):
-        raise ValueError("seed bits must be 0 or 1")
+    raw = _bit_bytes(seed, "seed bits must be 0 or 1")
     return int(raw[::-1].translate(_DIGITS), 2) if raw else 0
 
 
@@ -255,8 +245,7 @@ class CaState:
     def __post_init__(self) -> None:
         if len(self.cells) != len(self.rules):
             raise ValueError("cell count must match rule vector length")
-        if any(c not in (0, 1) for c in self.cells):
-            raise ValueError("cells must be 0 or 1")
+        _bit_bytes(self.cells, "cells must be 0 or 1")
 
 
 def _ca_states(rules: RuleVector, state: int, steps: int) -> Iterator[int]:

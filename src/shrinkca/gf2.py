@@ -39,6 +39,17 @@ class NonPrimitiveModulus(ValueError):
     """A primitive polynomial was required but not supplied."""
 
 
+def _bit_bytes(bits: Sequence[int], message: str) -> bytes:
+    """bits as one byte (0 or 1) each; ValueError(message) for any other value."""
+    try:
+        raw = bytes(bits)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(message) from exc
+    if raw.translate(None, b"\x00\x01"):
+        raise ValueError(message)
+    return raw
+
+
 def _mul_mask(a: int, b: int) -> int:
     out = 0
     while b:
@@ -336,8 +347,7 @@ class RuleVector:
     def __post_init__(self) -> None:
         if len(self.bits) < 1:
             raise ValueError("rule vector needs at least one cell")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("rule bits must be 0 or 1")
+        _bit_bytes(self.bits, "rule bits must be 0 or 1")
 
     @classmethod
     def from_string(cls, text: str) -> "RuleVector":

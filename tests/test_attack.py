@@ -454,8 +454,30 @@ class TestFullAttack:
     def test_tampered_intercept_detected(self, flip):
         bits = [int(c) for c in INTERCEPT]
         bits[flip] ^= 1
-        with pytest.raises((Exhausted, ConflictingReconstruction)):
+        with pytest.raises(Exhausted):
             full_attack(BitSeq(tuple(bits)), public_spec())
+
+    @pytest.mark.parametrize("flip", [0, 5, 23])
+    def test_tampered_intercept_fails_in_one_search(self, flip, monkeypatch):
+        # a failed attack is the search's Exhausted: phase 1 never runs, and
+        # the search runs once, on the intercept
+        def fail(*args):
+            raise AssertionError("phase 1 run for a failed attack")
+
+        searches = []
+
+        def search(*args):
+            searches.append(args)
+            return phase2_search(*args)
+
+        monkeypatch.setattr(attack, "phase1_reconstruct", fail)
+        monkeypatch.setattr(attack, "_phase1_positions", fail)
+        monkeypatch.setattr(attack, "phase2_search", search)
+        bits = [int(c) for c in INTERCEPT]
+        bits[flip] ^= 1
+        with pytest.raises(Exhausted):
+            full_attack(BitSeq(tuple(bits)), public_spec())
+        assert len(searches) == 1
 
     def test_ambiguous_reports_all_candidates(self):
         pub = GeneratorSpec(2, 3, Gf2Poly.parse("0,1,2"), Gf2Poly.parse("0,1,3"))
@@ -752,7 +774,7 @@ class TestExhaustiveCompleteness:
                             found = {(res.is1, res.is2)}
                         except Ambiguous as exc:
                             found = set(exc.candidates)
-                        except (Exhausted, ConflictingReconstruction):
+                        except Exhausted:
                             found = set()
                         assert found == fits.get(z, set()), (taps, r, z)
                         attacked += 1
@@ -854,8 +876,9 @@ class TestSearchOnIntercept:
     def test_full_attack_equals_phase1_then_phase2(self, l1, l2):
         # every tap set in regime, the intercept of every seed pair and random
         # bits at lengths d to 5d, and random bits one past the period: all but
-        # phase 2's records, and every exception's type and text, are the
-        # two-phase attack's
+        # phase 2's records, and the type and text of Ambiguous and ValueError,
+        # are the two-phase attack's; where that attack finds no seed pair
+        # (ConflictingReconstruction or Exhausted), full_attack is Exhausted
         c1, c2 = (Gf2Poly.parse(text) for text in TestExhaustiveCompleteness.SHAPES[l1, l2])
         rng = random.Random(f"two-phase:{l1}:{l2}")
         d = 1 << (l1 - 1)
@@ -877,10 +900,15 @@ class TestSearchOnIntercept:
                     for raw in sorted(intercepts):
                         z = BitSeq(raw)
                         want = attack_outcome(phase1_then_phase2, z, pub)
+                        kind = want.split(":")[0] if isinstance(want, str) else "recovered"
+                        outcomes.add(kind)
+                        if kind in ("ConflictingReconstruction", "Exhausted"):
+                            with pytest.raises(Exhausted):
+                                full_attack(z, pub)
+                            continue
                         got = attack_outcome(full_attack, z, pub)
                         if not isinstance(got, str):
                             got = (got.is1, got.is2, got.reconstructed_positions,
                                    got.nodes_expanded, got.phase1_records)
                         assert got == want, (taps, raw)
-                        outcomes.add(want.split(":")[0] if isinstance(want, str) else "recovered")
         assert {"recovered", "Exhausted", "ValueError"} <= outcomes

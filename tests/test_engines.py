@@ -298,6 +298,11 @@ class TestCellularAutomaton:
         with pytest.raises(ValueError):
             CaState(RuleVector.from_string("010"), (1, 0))
 
+    @pytest.mark.parametrize("cell", [2, -1, 1.0, "1", None])
+    def test_cells_must_be_bits(self, cell):
+        with pytest.raises(ValueError, match="cells must be 0 or 1"):
+            CaState(RuleVector.from_string("010"), (1, cell, 0))
+
     def test_superposition(self):
         rng = random.Random(41)
         for _ in range(80):

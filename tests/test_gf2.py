@@ -327,6 +327,9 @@ class TestRuleVector:
             RuleVector.from_string("012")
         with pytest.raises(ValueError):
             RuleVector(())
+        for bit in (2, -1, 1.0, "1", None):
+            with pytest.raises(ValueError, match="rule bits must be 0 or 1"):
+                RuleVector((1, bit, 0))
 
     def test_mirrored(self):
         rv = RuleVector.from_string("0111001110")
