@@ -32,15 +32,18 @@ for the length of the run:
 
 regeneration and report are timed only when full_attack recovers.
 
+The wrappers also count calls; the run wraps `FieldTable.discrete_log` too,
+and the rung reports its calls per attack as `discrete_logs`.
+
 Rungs with l2 above the field cap (gf2.MAX_FIELD_DEGREE) time linearize
 and min_poly only, since neither builds a field: the attack refuses them at
 `FieldTable.build`, so their other layers are listed under "skipped" and
 their outcome is "skipped", not an error.
 
 A rung runs RUNS times in a child process and reports each layer's median
-and its (min, max). A child still running after CAP_S seconds is killed and
-the rung is recorded as a timeout. Stdlib only; not part of the tests or of
-BENCHMARK.json.
+and its (min, max), and the median count of discrete logs. A child still
+running after CAP_S seconds is killed and the rung is recorded as a
+timeout. Stdlib only; not part of the tests or of BENCHMARK.json.
 """
 
 from __future__ import annotations
@@ -118,7 +121,7 @@ def _instance(l1: int, l2: int, w: int):
     return public, (is1, is2), intercepted
 
 
-def _one_run(l1: int, l2: int, w: int) -> tuple[dict[str, float], str]:
+def _one_run(l1: int, l2: int, w: int) -> tuple[dict[str, float], str, dict[str, int]]:
     from shrinkca import attack, full_attack, is_primitive, linearize
     from shrinkca.cli import _emit
     from shrinkca.engines import _DIGITS
@@ -126,12 +129,14 @@ def _one_run(l1: int, l2: int, w: int) -> tuple[dict[str, float], str]:
 
     public, planted, intercepted = _instance(l1, l2, w)
     times: dict[str, float] = {}
+    calls: dict[str, int] = {}
 
     def timed(name, fn):
         def call(*args):
             start = perf_counter()
             out = fn(*args)
             times[name] = times.get(name, 0.0) + perf_counter() - start
+            calls[name] = calls.get(name, 0) + 1
             return out
 
         return call
@@ -142,6 +147,7 @@ def _one_run(l1: int, l2: int, w: int) -> tuple[dict[str, float], str]:
         (FieldTable, "build", "field"),
         (attack, "_phase1_positions", "phase1"),
         (attack, "phase2_search", "phase2"),
+        (FieldTable, "discrete_log", "discrete_log"),
     )
     originals = [(owner, attr, vars(owner)[attr]) for owner, attr, _ in wrapped]
     for owner, attr, name in wrapped:
@@ -151,24 +157,27 @@ def _one_run(l1: int, l2: int, w: int) -> tuple[dict[str, float], str]:
     try:
         result = timed("full_attack", full_attack)(intercepted, public)
     except Exception as exc:  # an attack that does not recover is recorded, not fatal
-        return times, "skipped" if l2 > MAX_FIELD_DEGREE else type(exc).__name__
+        return times, "skipped" if l2 > MAX_FIELD_DEGREE else type(exc).__name__, calls
     finally:
         for owner, attr, original in originals:
             setattr(owner, attr, original)
     if (result.is1, result.is2) != planted:
-        return times, "wrong seeds"
+        return times, "wrong seeds", calls
     timed("regeneration", lambda: result.keystream)()
     timed("report", lambda: _emit(result.keystream_blocks(_DIGITS), os.devnull))()
-    return times, "recovered"
+    return times, "recovered", calls
 
 
 def _rung(l1: int, l2: int, w: int) -> dict:
     runs = [_one_run(l1, l2, w) for _ in range(RUNS)]
     layers = [k for k in LAYERS if k in runs[0][0]]
     entry = {
-        "outcome": sorted({outcome for _, outcome in runs}),
-        "median_s": {k: statistics.median(t[k] for t, _ in runs) for k in layers},
-        "min_max_s": {k: [min(t[k] for t, _ in runs), max(t[k] for t, _ in runs)] for k in layers},
+        "outcome": sorted({outcome for _, outcome, _ in runs}),
+        "median_s": {k: statistics.median(t[k] for t, _, _ in runs) for k in layers},
+        "discrete_logs": statistics.median(c.get("discrete_log", 0) for _, _, c in runs),
+        "min_max_s": {
+            k: [min(t[k] for t, _, _ in runs), max(t[k] for t, _, _ in runs)] for k in layers
+        },
     }
     skipped = [k for k in LAYERS if k not in layers]
     if skipped:

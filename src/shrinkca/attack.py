@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -216,16 +215,15 @@ def _identities(
     stepped once per automaton by P_i = (x + R_i) P_(i-1) + P_(i-2).  P^k stays in
     one interleaving column (its offsets agree modulo d = 2^(l1-1)) exactly when
     step = max(d >> a, 1) divides k, 2^a the largest power of two dividing every
-    exponent of P / x^u, u the lowest; only those powers are built.  A power is
-    yielded when its column power sum is nonzero: the window sum at offsets
-    t + o is then the bit at t + offsets[0] + d * row shift.
+    exponent of P / x^u, u the lowest; only those powers are built.  With Q(x^d) =
+    P^step / x^(u step), P^(j step) / x^(u j step) = Q(x^d)^j: the window sum at
+    offsets t + o is the bit at t + offsets[0] + d * shift, shift = j log Q(alpha)
+    mod 2^l2 - 1, one log per cell, and Q(alpha) = 0 places no bit at any power.
     """
     mask = _span_masks(d, r)
     for ca_idx, rv in enumerate(ca_pair):
         prev2, prev = 0, 1
-        for cell in range(2, len(rv) + 1):
-            if cell > r:
-                break
+        for cell in range(2, min(len(rv), r) + 1):
             prev2, prev = prev, (prev << 1) ^ (prev if rv.bits[cell - 2] else 0) ^ prev2
             # P / x^u = S(x^(2^a)) with S not a square.  For k = 2^c m, m odd,
             # S^k = S^m(x^(2^c)) and S^m is no square (its derivative S^(m-1) S'
@@ -239,13 +237,14 @@ def _identities(
             step, top = d // span, (r - 1) // (cell - 1)
             if step > top:  # no window fits
                 continue
-            acc = base = Gf2Poly(prev) ** step
-            for power in range(step, top + 1, step):
-                poly, acc = acc, acc * base
-                offsets = poly.exponents()
-                shift = table.power_sum((o - offsets[0]) // d for o in offsets)
-                if shift is not None:
-                    yield ca_idx, cell, power, offsets, shift
+            poly = base = Gf2Poly(prev) ** step
+            offsets = base.exponents()
+            unit = table.power_sum((o - offsets[0]) // d for o in offsets)
+            if unit is None:  # Q(alpha) = 0
+                continue
+            for j in range(1, top // step + 1):
+                yield ca_idx, cell, j * step, poly.exponents(), j * unit % table.order
+                poly *= base
 
 
 def _intercepted_bits(intercepted: BitSeq, period: int) -> KnownBits:
@@ -416,8 +415,8 @@ def phase2_search(known: KnownBits, spec: GeneratorSpec, table: FieldTable) -> P
     base_rows = cols[0]
 
     # pn row q as a linear form over the column-0 seed (pn_0 .. pn_(l2-1)):
-    # the coefficients of x^q mod base, which is alpha^q; hypotheses revisit rows
-    form = lru_cache(maxsize=None)(table.element)
+    # the coefficients of x^q mod base, which is alpha^q
+    form = table.element
     top, modulus = 1 << table.m, table.modulus.mask
 
     base_sys = Gf2LinearSystem(l2)

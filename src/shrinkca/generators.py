@@ -70,9 +70,14 @@ def _json_bits(data: dict, key: str) -> tuple[int, ...] | None:
 def _json_poly(data: dict, key: str, degree: int) -> Gf2Poly:
     """data[key], a JSON string of exponents, each checked against degree before use."""
     text = data[key]
+    message = f"{key} must be a string of exponents, got {text!r}"
     if not isinstance(text, str):
-        raise ValueError(f"{key} must be a string of exponents, got {text!r}")
-    if any(not 0 <= int(part) <= degree for part in text.split(",")):
+        raise ValueError(message)
+    try:
+        exponents = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise ValueError(message) from None
+    if any(not 0 <= e <= degree for e in exponents):
         raise ValueError(f"{key} exponents must lie in [0, {degree}], got {text!r}")
     return Gf2Poly.parse(text)
 

@@ -27,7 +27,14 @@ from shrinkca.attack import (
 )
 from shrinkca.engines import BitSeq, lfsr_bytes
 from shrinkca import attack
-from shrinkca.gf2 import FieldTable, Gf2Poly, RuleVector, is_primitive, min_poly_of_power
+from shrinkca.gf2 import (
+    FieldTable,
+    Gf2Poly,
+    NonPrimitiveModulus,
+    RuleVector,
+    is_primitive,
+    min_poly_of_power,
+)
 from shrinkca.generators import (
     GeneratorSpec,
     _clocked_steps,
@@ -275,6 +282,64 @@ class TestPhase1Oracle:
             is2 = (1,) + tuple(rng.randrange(2) for _ in range(l2 - 1))
             intercepts.append(BitSeq(gen(pub.with_seeds(is1, is2), r).raw))
         assert self.check(pub, intercepts) == len(intercepts)
+
+
+def identities_every_power(ca_pair, d, r, table):
+    """`attack._identities` with its own power sum and discrete log for every power."""
+    mask = _span_masks(d, r)
+    for ca_idx, rv in enumerate(ca_pair):
+        prev2, prev = 0, 1
+        for cell in range(2, len(rv) + 1):
+            if cell > r:
+                break
+            prev2, prev = prev, (prev << 1) ^ (prev if rv.bits[cell - 2] else 0) ^ prev2
+            span = _column_span(prev, mask, d)
+            if not span:
+                continue
+            step, top = d // span, (r - 1) // (cell - 1)
+            if step > top:
+                continue
+            acc = base = Gf2Poly(prev) ** step
+            for power in range(step, top + 1, step):
+                poly, acc = acc, acc * base
+                offsets = poly.exponents()
+                shift = table.power_sum((o - offsets[0]) // d for o in offsets)
+                if shift is not None:
+                    yield ca_idx, cell, power, offsets, shift
+
+
+class TestIdentitiesPerCell:
+    @pytest.mark.filterwarnings("ignore:tap count equals")
+    # l1 1..9 with l2 <= 13, as bench/differential.py draws them, and l1 1..6 with
+    # l2 17..23; every tap count 0, 1, 2 and l1 at each l1, and r in d..8d
+    @pytest.mark.parametrize("l2_low,l2_high,rounds", [(2, 13, 3), (17, 23, 1)])
+    def test_one_log_per_cell_equals_one_per_power(self, l2_low, l2_high, rounds, monkeypatch):
+        rng = random.Random(f"identities:{l2_low}")
+        logs = []
+        power_sum = FieldTable.power_sum
+        monkeypatch.setattr(FieldTable, "power_sum", lambda t, e: logs.append(1) or power_sum(t, e))
+        checked = 0
+        for l1 in [l1 for l1 in range(1, 10 if l2_high <= 13 else 7) for _ in range(rounds)]:
+            fields = [m for m in range(max(l1 + 1, l2_low), l2_high + 1) if math.gcd(l1, m) == 1]
+            for w in sorted({0, 1, 2, l1} & set(range(l1 + 1))):
+                l2 = rng.choice(fields)
+                c2 = Gf2Poly(1 << l2 | rng.getrandbits(l2) | 1)
+                while not is_primitive(c2):
+                    c2 = Gf2Poly(1 << l2 | rng.getrandbits(l2) | 1)
+                try:
+                    model = linearize_model(l1, c2, w)
+                    table = FieldTable.build(model.base)
+                except (DegenerateCoset, NonPrimitiveModulus):
+                    continue  # clocking regime this model cannot linearize
+                d = 1 << (l1 - 1)
+                r = rng.randint(d, 8 * d)
+                logs.clear()
+                got = list(attack._identities(model.pair, d, r, table))
+                # one log per cell that holds a window; no sampled cell has Q(alpha) = 0
+                assert len(logs) == len({(ca, cell) for ca, cell, *_ in got})
+                assert got == list(identities_every_power(model.pair, d, r, table)), (l1, c2, w, r)
+                checked += 1
+        assert checked >= 20 * rounds
 
 
 def string_span(poly: int, d: int) -> int:

@@ -231,6 +231,16 @@ class TestGenerate:
         assert code == 2
         assert f"{key} exponents must lie in" in err
 
+    @pytest.mark.parametrize("key", ["c1", "c2"])
+    @pytest.mark.parametrize("value", ["0,3,4,", "", "0,x"])
+    def test_exponents_must_be_integers(self, capsys, spec_file, key, value):
+        bad = dict(EXAMPLE1, **{key: value})
+        code, out, err = run(
+            capsys, "generate", "--spec", spec_file(bad), "--kind", "shrink", "--bits", "5"
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == f"error: {key} must be a string of exponents, got {value!r}"
+
     def test_lfsr_checks_c1_degree_as_shrink_does(self, capsys, spec_file):
         data = {"l1": 5, "l2": 7, "c1": "0,1,3", "c2": "0,1,7", "is1": "101", "is2": "1000000"}
         errors = []
