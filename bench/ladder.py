@@ -66,6 +66,7 @@ RUNGS = (
     (8, 9, 0),
     (7, 11, 1),
     (7, 15, 0),
+    (3, 16, 0),
     (6, 17, 0),
     (4, 19, 0),
     (5, 21, 1),

@@ -68,7 +68,7 @@ def _json_bits(data: dict, key: str) -> tuple[int, ...] | None:
 
 
 def _json_poly(data: dict, key: str, degree: int) -> Gf2Poly:
-    """data[key], a JSON string of exponents, each checked against degree before use."""
+    """data[key], a JSON string of distinct exponents, each checked against degree before use."""
     text = data[key]
     message = f"{key} must be a string of exponents, got {text!r}"
     if not isinstance(text, str):
@@ -79,6 +79,8 @@ def _json_poly(data: dict, key: str, degree: int) -> Gf2Poly:
         raise ValueError(message) from None
     if any(not 0 <= e <= degree for e in exponents):
         raise ValueError(f"{key} exponents must lie in [0, {degree}], got {text!r}")
+    if len(set(exponents)) != len(exponents):
+        raise ValueError(f"{key} exponents must be distinct, got {text!r}")
     return Gf2Poly.parse(text)
 
 

@@ -5,9 +5,12 @@ coefficient of x^k, so 0b100101 is 1 + x^2 + x^5.  The canonical text form
 is the comma-separated exponent list ("0,2,5").  Everything here is exact,
 desk-scale algebra: primitivity tests, minimal polynomials, Berlekamp-Massey,
 GF(2^m) by baby-step giant-step (FieldTable) and a GF(2) linear system.
-FieldTable is refused above degree MAX_FIELD_DEGREE = 24: its giant-step
-table and each discrete log grow as 2^m / 4096, and at degree 24 the table
-takes about 15 ms to build and a log about 1 ms.
+FieldTable is refused above degree MAX_FIELD_DEGREE = 24.  Above degree 12
+it keeps B = 2^(ceil(m/2) + 1) baby steps, so its giant-step table and each
+discrete log grow as 2^m / B: at degree 24 the table takes about 1.7 ms to
+build and a log about 0.15 ms (2-vCPU VM, Python 3.11).  Powers run left to
+right: a square is a byte-spread table lookup, and a multiplication by x is
+one shift and one reduction step.
 """
 
 from __future__ import annotations
@@ -92,14 +95,37 @@ def _mul_mod(a: int, b: int, mod: int) -> int:
     return _mod_mask(_mul_mask(a, b), mod)
 
 
+# Squaring over GF(2) spreads the bits, (sum a_i x^i)^2 = sum a_i x^(2i):
+# _SPREAD[b] is byte b with its bit i moved to bit 2i (a 0 between digits).
+_SPREAD = tuple(int("0".join(format(b, "b")), 2) for b in range(256))
+
+
+def _square(a: int) -> int:
+    """a * a over GF(2), one _SPREAD lookup per byte of a."""
+    out = k = 0
+    while a:
+        out |= _SPREAD[a & 255] << k
+        a >>= 8
+        k += 16
+    return out
+
+
 def _pow_mod(base: int, exp: int, mod: int) -> int:
+    """base^exp modulo mod for exp >= 0, left to right: square, then multiply
+    by base on a 1 bit.  When base is x, that multiplication is one shift and
+    one reduction step."""
     result = _mod_mask(1, mod)
     base = _mod_mask(base, mod)
-    while exp:
-        if exp & 1:
-            result = _mul_mod(result, base, mod)
-        base = _mul_mod(base, base, mod)
-        exp >>= 1
+    top = 1 << mod.bit_length() - 1
+    for bit in format(exp, "b"):
+        result = _mod_mask(_square(result), mod)
+        if bit == "1":
+            if base == 0b10:
+                result <<= 1
+                if result & top:
+                    result ^= mod
+            else:
+                result = _mul_mod(result, base, mod)
     return result
 
 
@@ -285,13 +311,13 @@ def is_irreducible(p: Gf2Poly) -> bool:
     x = _mod_mask(0b10, mod)
     t = x
     for _ in range(m):
-        t = _mul_mod(t, t, mod)
+        t = _mod_mask(_square(t), mod)
     if t != x:
         return False
     for q in _prime_factors(m):
         t = x
         for _ in range(m // q):
-            t = _mul_mod(t, t, mod)
+            t = _mod_mask(_square(t), mod)
         if _gcd_mask(t ^ x, mod) != 1:
             return False
     return True
@@ -313,7 +339,7 @@ def is_primitive(p: Gf2Poly) -> bool:
     mod = p.mask
     x = t = _mod_mask(0b10, mod)
     for _ in range(m):
-        t = _mul_mod(t, t, mod)
+        t = _mod_mask(_square(t), mod)
     if t != x:
         return False
     order = (1 << m) - 1
@@ -402,23 +428,52 @@ def _powers_of_x(mod: int, m: int, count: int) -> list[int]:
     return out
 
 
-# Baby steps kept by FieldTable: the whole group up to degree 12, and at
-# least the square root of its order up to MAX_FIELD_DEGREE.
-_BABY_STEPS = 1 << 12
+def _baby_steps(m: int) -> int:
+    """B, the baby steps FieldTable keeps at degree m.
+
+    Up to degree 12 that is the whole group, 2^m - 1 elements.  Above it,
+    B = 2^(ceil(m/2) + 1) balances the table against the logs: a build costs
+    about B steps plus (2^m - 1) / B giant steps, a log at most (2^m - 1) / B
+    steps, and an attack takes few logs (at most 17 on the ladder).
+    """
+    return (1 << m) - 1 if m <= 12 else 1 << (m + 1) // 2 + 1
+
+
+def _times_table(c: int, mod: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """v -> v c modulo the degree-m modulus, tabulated per byte of v.
+
+    That map is GF(2)-linear in v's bits, so the table of byte k is the XOR
+    span of the columns c x^i, 8k <= i < 8k + 8: 256 entries.  There is one
+    table per byte of MAX_FIELD_DEGREE = 24 bits, so v c is
+    low[v & 255] ^ mid[v >> 8 & 255] ^ high[v >> 16]; a byte at or above
+    m, always 0 in v, has the table (0,).
+    """
+    tables = []
+    column = c
+    for first in range(0, MAX_FIELD_DEGREE, 8):
+        table = [0]
+        for _ in range(first, min(first + 8, m)):
+            table += [t ^ column for t in table]
+            column <<= 1
+            if column >> m & 1:
+                column ^= mod
+        tables.append(tuple(table))
+    return tuple(tables)
 
 
 @dataclass(frozen=True)
 class FieldTable:
     """GF(2^m) over a primitive modulus, with no table of 2^m entries.
 
-    baby holds alpha^i for i < B = min(2^m - 1, 4096) and baby_log inverts
-    it; giant holds alpha^(B j) for j < ceil((2^m - 1) / B), and back the
-    multiplication by alpha^(-B), one table of 256 entries per byte of the
-    operand.  element(k) is one index, plus one multiplication when
+    baby holds alpha^i for i < B = _baby_steps(m), which is 2^m - 1 up to
+    degree 12 and 2^(ceil(m/2) + 1) above it, and baby_log inverts it;
+    giant holds alpha^(B j) for j < ceil((2^m - 1) / B), and back the
+    multiplication by alpha^(-B), tabulated per byte of the operand
+    (_times_table).  element(k) is one index, plus one multiplication when
     k mod 2^m - 1 >= B.  discrete_log is baby-step giant-step: at most
     len(giant) lookups in baby_log, with one multiplication by alpha^(-B)
     between them.  Up to degree 12 the baby table is the whole group, so
-    both are single lookups.
+    both are single lookups.  At degree 24, B = 8192 and len(giant) = 2048.
 
     The full tables are built on first read only, as the tests' oracle:
     antilog[k] is alpha^k for k in [0, 2^m - 2], log inverts it (log[0] is
@@ -441,23 +496,15 @@ class FieldTable:
             raise ValueError(f"field degree {m} is above the supported {MAX_FIELD_DEGREE}")
         if not is_primitive(modulus):
             raise NonPrimitiveModulus(f"{modulus.to_text()} is not primitive")
-        mod, order = modulus.mask, (1 << m) - 1
-        baby = _powers_of_x(mod, m, min(order, _BABY_STEPS))
-        stride = _pow_mod(0b10, len(baby), mod)
+        mod, order, steps = modulus.mask, (1 << m) - 1, _baby_steps(m)
+        baby = _powers_of_x(mod, m, steps + 1)
+        low, mid, high = _times_table(baby.pop(), mod, m)  # times alpha^B
         giant = [1]
-        for _ in range(1, -(-order // len(baby))):
-            giant.append(_mul_mod(giant[-1], stride, mod))
-        baby_log = dict(zip(baby, range(len(baby))))
-        # v -> v alpha^(-B) is GF(2)-linear in v's bits: tabulate it per byte
-        inverse = _pow_mod(0b10, order - len(baby), mod)
-        back = []
-        for low in range(0, m, 8):
-            table = [0]
-            for i in range(low, min(low + 8, m)):
-                column = _mul_mod(inverse, 1 << i, mod)
-                table += [t ^ column for t in table]
-            back.append(tuple(table))
-        return cls(modulus, m, tuple(baby), baby_log, tuple(giant), tuple(back))
+        for _ in range(1, -(-order // steps)):
+            v = giant[-1]
+            giant.append(low[v & 255] ^ mid[v >> 8 & 255] ^ high[v >> 16])
+        back = _times_table(_pow_mod(0b10, order - steps, mod), mod, m)
+        return cls(modulus, m, tuple(baby), dict(zip(baby, range(steps))), tuple(giant), back)
 
     @property
     def order(self) -> int:
@@ -480,14 +527,12 @@ class FieldTable:
             return None
         # log v = B j + i with i < B and j < len(giant): the first j at which
         # v alpha^(-B j) is a baby step alpha^i gives exactly that split
+        get, (low, mid, high) = self.baby_log.get, self.back
         for j in range(len(self.giant)):
-            i = self.baby_log.get(v)
+            i = get(v)
             if i is not None:
                 return len(self.baby) * j + i
-            acc = 0
-            for k, table in enumerate(self.back):
-                acc ^= table[v >> 8 * k & 255]
-            v = acc
+            v = low[v & 255] ^ mid[v >> 8 & 255] ^ high[v >> 16]
         raise ArithmeticError(f"no discrete log modulo {self.modulus.to_text()}")
 
     def power_sum(self, exponents: Iterable[int]) -> int | None:

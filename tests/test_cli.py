@@ -816,6 +816,34 @@ def test_missing_spec_key_is_named(capsys, spec_file, argv):
     assert err == "error: missing spec key 'l2'\n"
 
 
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        (("generate", "--kind", "shrink", "--bits", "5"), "c1"),
+        (("generate", "--kind", "shrink", "--bits", "5"), "c2"),
+        (("generate", "--kind", "lfsr", "--bits", "5"), "c1"),
+        (("linearize",), "c2"),
+        (("attack", "--intercepted", INTERCEPT53), "c1"),
+        (("attack", "--intercepted", INTERCEPT53), "c2"),
+    ],
+)
+def test_repeated_exponent_is_refused(capsys, spec_file, argv, key):
+    # "0,3,3" is not read as 1 + x^3: a repeated exponent is a typo, not a term
+    value = PUBLIC53[key] + "," + PUBLIC53[key].split(",")[1]
+    spec = dict(README53, **{key: value})
+    code, out, err = run(capsys, argv[0], "--spec", spec_file(spec), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == f"error: {key} exponents must be distinct, got {value!r}\n"
+
+
+def test_linearize_reads_no_c1(capsys, spec_file):
+    # linearize takes l1, l2, c2 and taps; c1 is SR1's, which the model does not use
+    spec = dict(PUBLIC53, c1="0,3,3,4")
+    assert run(capsys, "linearize", "--spec", spec_file(spec)) == run(
+        capsys, "linearize", "--spec", spec_file(PUBLIC53)
+    )
+
+
 class TestRepeatedCalls:
     def test_parser_built_once(self):
         assert _build_parser() is _build_parser()

@@ -19,7 +19,8 @@ from shrinkca.engines import (
     lfsr_generate,
     solve_cell_seed,
 )
-from shrinkca.gf2 import Gf2Poly, NonPrimitiveModulus, RuleVector, _mod_mask, _pow_mod
+from shrinkca.gf2 import Gf2Poly, NonPrimitiveModulus, RuleVector, _mod_mask
+from test_gf2 import pow_mod_right_to_left
 
 # 10 successive states of the 10-cell automaton with rules 0111001110
 AUTOMATON_ROWS = [
@@ -192,7 +193,7 @@ class TestLfsrBytes:
             lengths = (0, 1, deg, 2 * deg + 1, rng.randrange(4 * deg + 64))
             near = (0, 1, deg - 1, deg, 2 * deg, rng.randrange(4 * deg + 64))
             serial = bytes(itertools.islice(lfsr_bit_iter(poly, seed), max(near) + max(lengths)))
-            x40 = _pow_mod(2, 1 << 40, poly.mask)
+            x40 = pow_mod_right_to_left(2, 1 << 40, poly.mask)
             far = tuple((_mod_mask(x40 << i, poly.mask) & fill).bit_count() & 1 for i in range(deg))
             serial_far = bytes(itertools.islice(lfsr_bit_iter(poly, far), max(lengths)))
             for n in lengths:

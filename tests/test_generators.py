@@ -120,6 +120,13 @@ class TestJsonRoundtrip:
         with pytest.raises(KeyError):
             GeneratorSpec.from_json({"l1": 3, "l2": 4, "c1": "0,2,3"})
 
+    @pytest.mark.parametrize("key,value", [("c1", "0,2,2,3"), ("c1", "0,3,3"), ("c2", "0,1,4,0")])
+    def test_repeated_exponent(self, key, value):
+        data = dict(plain_spec().to_json(), **{key: value})
+        with pytest.raises(ValueError) as info:
+            GeneratorSpec.from_json(data)
+        assert str(info.value) == f"{key} exponents must be distinct, got {value!r}"
+
 
 class TestShrink:
     def test_printed_output_line(self):

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 import tracemalloc
@@ -20,12 +21,32 @@ from shrinkca.gf2 import (
     linear_complexity,
     min_poly_of_power,
 )
-from shrinkca.gf2 import _divmod_mask, _mod_mask, _mul_mod, _pow_mod, _prime_factors
+from shrinkca.gf2 import (
+    _divmod_mask,
+    _mod_mask,
+    _mul_mask,
+    _mul_mod,
+    _pow_mod,
+    _prime_factors,
+    _square,
+)
 from shrinkca.linearize import coset_exponent, linearize_generator
 
 X = Gf2Poly(2)
 ONE = Gf2Poly(1)
 ZERO = Gf2Poly(0)
+
+
+def pow_mod_right_to_left(base: int, exp: int, mod: int) -> int:
+    """base^exp modulo mod, right to left through _mul_mod: the oracle for _pow_mod."""
+    result = _mod_mask(1, mod)
+    base = _mod_mask(base, mod)
+    while exp:
+        if exp & 1:
+            result = _mul_mod(result, base, mod)
+        base = _mul_mod(base, base, mod)
+        exp >>= 1
+    return result
 
 
 def brute_irreducible(p: Gf2Poly) -> bool:
@@ -151,6 +172,35 @@ class TestGf2Poly:
         assert _mod_mask(0b101, 0b1011) == 0b101
         with pytest.raises(ZeroDivisionError):
             _mod_mask(0b101, 0)
+
+
+class TestKernels:
+    """_square and _pow_mod against the bit-serial _mul_mask and the right-to-left loop."""
+
+    def test_square_matches_mul_mask(self):
+        rng = random.Random(1100)
+        cases = [0, 1, 2, 3, 255, 1 << 63, (1 << 64) - 1, 1 << 64, (1 << 65) - 1]
+        for bits in (*range(1, 80), *(rng.randrange(80, 1101) for _ in range(60)), 1100):
+            cases.append(rng.getrandbits(bits) | 1 << bits - 1)  # dense
+            cases.append(1 << bits - 1 | 1 << rng.randrange(bits) | rng.randrange(2))  # sparse
+        for a in cases:
+            assert _square(a) == _mul_mask(a, a), hex(a)
+
+    def test_pow_mod_matches_right_to_left(self):
+        rng = random.Random(2 ** 40)
+        degrees = (*range(1, 40), 63, 64, 65, *(rng.randrange(40, 1101) for _ in range(16)), 1100)
+        for deg in degrees:
+            mod = 1 << deg | rng.getrandbits(deg)
+            exps = (0, 1, 2, 3, rng.getrandbits(8), rng.getrandbits(45), 1 << 40, (1 << deg) - 1)
+            bases = (0, 1, 0b10, mod, mod ^ 0b10, rng.getrandbits(deg), rng.getrandbits(2 * deg + 3))
+            for base in bases:  # mod and mod ^ x are 0 and x modulo mod
+                for exp in exps[: 6 if deg > 200 else None]:
+                    want = pow_mod_right_to_left(base, exp, mod)
+                    assert _pow_mod(base, exp, mod) == want, (deg, base, exp)
+        assert _pow_mod(0b10, 0, 0b11) == 1 and _pow_mod(0b10, 5, 0b11) == 1  # x = 1 mod x + 1
+        assert _pow_mod(0b101, 7, 1) == 0  # modulo 1 everything is 0
+        with pytest.raises(ZeroDivisionError):
+            _pow_mod(0b10, 3, 0)
 
 
 class TestIrreduciblePrimitive:
@@ -398,6 +448,22 @@ class TestFieldTable:
         assert [t.discrete_log(v) for v in range(1 << m)] == list(t.log)
         assert [t.power_sum([0, k]) for k in range(t.order)] == list(t.zech)
         assert t.element(-1) == t.antilog[-1] and t.element(t.order) == 1
+
+    @pytest.mark.parametrize("m", range(13, 25))
+    def test_baby_steps_balance_the_logs(self, m):
+        # above degree 12, B = 2^(ceil(m/2) + 1) baby steps and ceil((2^m - 1) / B) giant steps
+        rng = random.Random(m)
+        mod = next(p for p in map(Gf2Poly, range(1 << m | 1, 2 << m, 2)) if is_primitive(p))
+        t = FieldTable.build(mod)
+        order, steps = (1 << m) - 1, 2 ** (math.ceil(m / 2) + 1)
+        assert len(t.baby) == len(t.baby_log) == steps
+        assert len(t.giant) == -(-order // steps)
+        assert t.giant == tuple(pow_mod_right_to_left(0b10, steps * j, mod.mask) for j in range(len(t.giant)))
+        boundaries = [steps * j for j in rng.sample(range(1, len(t.giant)), min(8, len(t.giant) - 1))]
+        for k in (0, 1, steps - 1, steps, steps + 1, order - 1, *boundaries, *(b - 1 for b in boundaries)):
+            v = pow_mod_right_to_left(0b10, k, mod.mask)
+            assert t.element(k) == v and t.element(k + order) == v and t.element(k - order) == v, k
+            assert t.discrete_log(v) == k, k
 
     @pytest.mark.parametrize("m", range(17, 25))
     def test_random_elements_against_pow_mod(self, m):
