@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .gf2 import Gf2LinearSystem, Gf2Poly, NonPrimitiveModulus, RuleVector, _bit_bytes, _mul_mod, _pow_mod, is_primitive
+from .gf2 import Gf2LinearSystem, Gf2Poly, NonPrimitiveModulus, RuleVector, _bit_bytes, _mul_mod, _powx, is_primitive
 
 __all__ = [
     "ZeroSeed",
@@ -203,7 +203,7 @@ def _lfsr_digits(charpoly: Gf2Poly, seed: Sequence[int] | int, n: int, origin: i
     elif len(seed) != deg:
         raise ValueError("seed length mismatch")
     else:
-        fill, top, x = _seed_to_int(seed), 1 << deg, _pow_mod(2, origin, mod)
+        fill, top, x = _seed_to_int(seed), 1 << deg, _powx(origin, mod)
         state, known = 0, min(2 * deg, n)
         for i in range(known):
             state |= ((x & fill).bit_count() & 1) << i
@@ -299,14 +299,13 @@ def solve_cell_seed(rules: RuleVector, cell: int, target: Sequence[int]) -> CaSt
     Linearity makes this a GF(2) solve.  The system is kept fully reduced
     with each row's pivot its highest cell, so a pivot cell depends only on
     free cells before it, and the solution with every free cell 0 is the
-    least one.
+    least one.  The whole target is checked for 0/1 bits before the solve.
     """
     n = len(rules)
-    rows = _cell_basis_traces(rules, cell, len(target))
+    bits = _bit_bytes(target, "target bits must be 0 or 1")
+    rows = _cell_basis_traces(rules, cell, len(bits))
     sys = Gf2LinearSystem(n)
-    for row, bit in zip(rows, target):
-        if bit not in (0, 1):
-            raise ValueError("target bits must be 0 or 1")
+    for row, bit in zip(rows, bits):
         if not sys.add(row, bit):
             return None
     solution = next(sys.solutions())

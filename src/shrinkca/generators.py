@@ -242,17 +242,6 @@ def clock_advances(a: Sequence[int], taps: Sequence[int]) -> list[int]:
     return list(accumulate(steps, initial=0))
 
 
-def _walk(buf: bytes, start: int, stride: int, count: int) -> bytearray:
-    """buf[(start + k * stride) % len(buf)] for k < count, one slice per wrap."""
-    parts = []
-    while count:
-        part = buf[start : start + count * stride : stride]
-        parts.append(part)
-        count -= len(part)
-        start += len(part) * stride - len(buf)
-    return bytearray().join(parts)
-
-
 def _from_digits(digits: bytes, table: bytes | None) -> bytes:
     """ASCII digits as 0/1 bytes, or as a translation table's images of 0 and 1."""
     images = b"\x00\x01" if table is None else table[:2]
@@ -341,14 +330,19 @@ def _window(
 
     Past one SR2 period, with g = gcd(S, P), the columns are rotations of
     the decimated columns v_rho[k] = sr2[(rho + k * S) mod P], one per
-    residue rho mod g, each of period P / g and built by one strided walk
-    of one SR2 period, after which the SR2 period is dropped: column c
-    starting at SR2 step t is
-    v_rho rotated by ((t - rho) / g) * (S / g)^-1 mod P / g, rho = t mod g.
-    S / g is invertible mod P / g, since a prime dividing both would divide
-    g once more.  g is 1 whenever the attack's model applies.  Each v_rho is
-    kept repeated, so any run of a block's rows is one slice of it, and
-    each block fills its rows of every column from those slices.
+    residue rho mod g that a column starts in, each of period P / g: column
+    c starting at SR2 step t is v_rho rotated by
+    ((t - rho) / g) * (S / g)^-1 mod P / g, rho = t mod g.  S / g is
+    invertible mod P / g, since a prime dividing both would divide g once
+    more.  g is 1 whenever the attack's model applies.  Each v_rho is SR2
+    decimated by S, so it too satisfies base(x).  SR2 is read once, for the
+    first min(P / g, 2 l2) entries of every v_rho: one strided slice each,
+    of step S mod P (P when that is 0), so at most 2 l2 (S mod P) + g SR2
+    bits.  `_extended` continues each head to P / g entries, and a v_rho
+    that is all zero, as in a degenerate coset, continues as zeros.  SR2's
+    period is never built.  Each v_rho is kept with the first B entries
+    appended, for B rows a block, so any run of a block's rows is one slice
+    of it, and each block fills its rows of every column from those slices.
 
     SR1 is read only as far as the request needs: an m-sequence has no run
     of l1 zeros, so k * l1 bits hold its first k ones, and a window inside
@@ -383,24 +377,22 @@ def _window(
             return [_from_digits(_extended(out, width, spec.l2, col + n)[col:], table)]
         del out[col + n :], out[:col]
         return [_from_digits(out, table)]
-    sr2 = _lfsr_digits(spec.c2, spec.is2, period, jump)
     stride = advance % period
     g = math.gcd(stride, period)
     length = period // g
     inv = pow(stride // g, -1, length)
+    head, step = min(length, 2 * spec.l2), stride or period
+    places = [divmod(off % period, g) for off in offsets]
+    residues = {rho for _, rho in places}
+    sr2 = _lfsr_digits(spec.c2, spec.is2, max(residues) + (head - 1) * step + 1, jump)
     block = min(max(_BLOCK_BYTES // width, _BLOCK_ROWS), rows)
-    repeats = 1 + -(-block // length)  # a slice of block rows from any start < length
     columns: dict[int, bytearray] = {}
-    starts = []
-    for off in offsets:
-        start = off % period
-        rho = start % g
-        if rho not in columns:
-            column = _from_digits(_walk(sr2, rho, stride or period, length), table)
-            column *= repeats
-            columns[rho] = column
-        starts.append((columns[rho], (start - rho) // g * inv % length))
-    del sr2
+    for rho in residues:
+        column = _from_digits(_extended(sr2[rho : rho + head * step : step], 1, spec.l2, length), table)
+        # length + block entries, so a run of block rows from any start < length is one
+        # slice; a bytearray, since a bytes slice is copied again when assigned into one
+        columns[rho] = bytearray().join([column] * (1 + block // length) + [column[: block % length]])
+    starts = [(columns[rho], k * inv % length) for k, rho in places]
 
     def blocks() -> Iterator[bytearray]:
         """Rows block at a time: column c's row q is column[(shift + q) % length]."""

@@ -110,22 +110,17 @@ def _square(a: int) -> int:
     return out
 
 
-def _pow_mod(base: int, exp: int, mod: int) -> int:
-    """base^exp modulo mod for exp >= 0, left to right: square, then multiply
-    by base on a 1 bit.  When base is x, that multiplication is one shift and
-    one reduction step."""
+def _powx(exp: int, mod: int) -> int:
+    """x^exp modulo mod for exp >= 0, left to right: square, then multiply
+    by x on a 1 bit, which is one shift and one reduction step."""
     result = _mod_mask(1, mod)
-    base = _mod_mask(base, mod)
     top = 1 << mod.bit_length() - 1
     for bit in format(exp, "b"):
         result = _mod_mask(_square(result), mod)
         if bit == "1":
-            if base == 0b10:
-                result <<= 1
-                if result & top:
-                    result ^= mod
-            else:
-                result = _mul_mod(result, base, mod)
+            result <<= 1
+            if result & top:
+                result ^= mod
     return result
 
 
@@ -343,7 +338,7 @@ def is_primitive(p: Gf2Poly) -> bool:
     if t != x:
         return False
     order = (1 << m) - 1
-    return all(_pow_mod(0b10, order // q, mod) != 1 for q in _prime_factors(order))
+    return all(_powx(order // q, mod) != 1 for q in _prime_factors(order))
 
 
 def continuant_poly(rules: Sequence[int]) -> Gf2Poly:
@@ -503,7 +498,7 @@ class FieldTable:
         for _ in range(1, -(-order // steps)):
             v = giant[-1]
             giant.append(low[v & 255] ^ mid[v >> 8 & 255] ^ high[v >> 16])
-        back = _times_table(_pow_mod(0b10, order - steps, mod), mod, m)
+        back = _times_table(_powx(order - steps, mod), mod, m)
         return cls(modulus, m, tuple(baby), dict(zip(baby, range(steps))), tuple(giant), back)
 
     @property
@@ -572,7 +567,7 @@ def min_poly_of_power(modulus: Gf2Poly, e: int) -> Gf2Poly:
     if not is_primitive(modulus):
         raise NonPrimitiveModulus(f"{modulus.to_text()} is not primitive")
     mod = modulus.mask
-    root = _pow_mod(0b10, e % ((1 << m) - 1), mod)
+    root = _powx(e % ((1 << m) - 1), mod)
     power, terms = 1, []
     for _ in range(2 * m):
         terms.append(power & 1)
@@ -586,12 +581,13 @@ def berlekamp_massey(bits: Sequence[int]) -> Gf2Poly:
     The result is in ascending feedback form: with coefficients c_k and
     degree L (the linear complexity), sum_k c_k s_(n+k) = 0 for every
     window of the sequence.  An all-zero (or empty) sequence gives 1.
+    Every bit must be 0 or 1.
     """
     c = b = 1
     length, m = 0, -1
     rev = 0
-    for n, s in enumerate(bits):
-        rev = (rev << 1) | (s & 1)
+    for n, s in enumerate(_bit_bytes(bits, "bits must be 0 or 1")):
+        rev = (rev << 1) | s
         if (c & rev).bit_count() & 1:
             t = c
             c ^= b << (n - m)

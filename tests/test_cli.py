@@ -17,7 +17,7 @@ from shrinkca import cli
 from shrinkca.cli import _build_parser, main
 from shrinkca.engines import BitSeq, CaState, ca_generate, lfsr_bit_iter, solve_cell_seed
 from shrinkca.generators import GeneratorSpec, _clocked_steps, ccsg_generate, shrink_generate
-from shrinkca.gf2 import Gf2Poly, RuleVector, _pow_mod, is_primitive
+from shrinkca.gf2 import Gf2Poly, RuleVector, _powx, is_primitive
 from shrinkca.linearize import MAX_CELLS, linearize_generator, linearize_model
 
 EXAMPLE1 = {"l1": 3, "l2": 4, "c1": "0,2,3", "c2": "0,1,4", "is1": "100", "is2": "1000"}
@@ -729,7 +729,7 @@ class TestStreamedReport:
 
     def test_peak_memory_below_a_byte_per_bit(self, spec_file, tmp_path):
         # the period as 0/1 bytes alone would be one byte a bit; the CLI holds
-        # one SR2 period, its decimated column and one block of rows at a time
+        # the continued decimated column and one block of rows at a time
         argv = self.argv(spec_file)
         target = tmp_path / "report.json"
         tracemalloc.start()
@@ -769,8 +769,9 @@ class TestStreamedGenerate:
     SR2_PERIOD = (1 << 23) - 1
 
     def test_peak_memory_follows_the_sr2_period(self, spec_file, tmp_path):
-        # one SR2 period as digits, its decimated column kept twice, and one
-        # block of rows, where the joined window took 2 bytes a bit (64 MiB)
+        # the decimated column continued to one SR2 period from its first
+        # 2 l2 entries, kept with one block's overlap, and one block of rows,
+        # where the joined window took 2 bytes a bit (64 MiB)
         bits = 1 << 25
         target = tmp_path / "bits.txt"
         argv = ["generate", "--spec", spec_file(self.SPEC), "--kind", "shrink", "--bits", str(bits)]
@@ -781,7 +782,7 @@ class TestStreamedGenerate:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak < 3.5 * self.SR2_PERIOD < bits
+        assert peak < 2.5 * self.SR2_PERIOD < bits
         out = target.read_bytes()
         assert len(out) == bits + 1 and out.endswith(b"\n")
         rng = random.Random(423)
@@ -960,7 +961,7 @@ def keystream_at(spec: GeneratorSpec, positions: list[int]) -> str:
     for p in positions:
         q, c = divmod(p, len(offsets))
         t = (q * advance + offsets[c]) % ((1 << spec.l2) - 1)
-        bits.append(str((_pow_mod(2, t, spec.c2.mask) & seed).bit_count() & 1))
+        bits.append(str((_powx(t, spec.c2.mask) & seed).bit_count() & 1))
     return "".join(bits)
 
 

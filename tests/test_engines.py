@@ -427,6 +427,14 @@ class TestSolveCellSeed:
         rules = RuleVector.from_string("0111001110")
         assert solve_cell_seed(rules, 1, BitSeq.parse("1" * 25)) is None
 
+    def test_target_bits_checked_before_solving(self):
+        # the 5 came after a prefix the solve had already found inconsistent,
+        # and 1.0 passed the per-bit check and failed inside the linear system
+        rules = RuleVector.from_string("01")
+        for target in ([1, 1, 1, 1, 1, 1, 5], [1, 1.0, 0], [2], "101"):
+            with pytest.raises(ValueError, match="target bits must be 0 or 1"):
+                solve_cell_seed(rules, 1, target)
+
     def test_cell_index_validated(self):
         rules = RuleVector.from_string("010")
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ import pytest
 import shrinkca
 from shrinkca import generators
 from shrinkca.engines import ZeroSeed, lfsr_bit_iter, lfsr_bytes
-from shrinkca.gf2 import Gf2Poly, NonPrimitiveModulus, _pow_mod, berlekamp_massey, is_primitive
+from shrinkca.gf2 import Gf2Poly, NonPrimitiveModulus, _powx, berlekamp_massey, is_primitive
 from shrinkca.generators import (
     GeneratorSpec,
     _clocked_steps,
@@ -357,18 +357,27 @@ class TestColumnModel:
         assert_windows(spec, random.Random(l2), 25)
 
     @pytest.mark.parametrize("shape", [(4, 7, 0), (5, 9, 1), *sorted(NON_INVERTIBLE)])
-    def test_one_walk_per_residue(self, shape, monkeypatch):
-        residues, walk = [], generators._walk
+    def test_one_continuation_per_residue(self, shape, monkeypatch):
+        """A wrapping window continues each residue's decimated column once, from its head."""
+        columns, extend = [], generators._extended
 
-        def counted(buf, start, stride, count):
-            residues.append(start)
-            return walk(buf, start, stride, count)
+        def counted(rows, width, l2, count):
+            if width == 1:
+                columns.append((len(rows), count))
+            return extend(rows, width, l2, count)
 
-        monkeypatch.setattr(generators, "_walk", counted)
+        monkeypatch.setattr(generators, "_extended", counted)
         spec = random_spec(random.Random(sum(shape)), *shape)
+        offsets, advance = ones_positions(spec)
+        period = (1 << spec.l2) - 1
+        g = math.gcd(advance, period)
+        assert g == NON_INVERTIBLE.get(shape, 1)
+        residues = {off % period % g for off in offsets}
         z = engine_window(spec, 3 * shrunken_stats(spec.l1, spec.l2).period, 5)
         assert z.raw[:64] == bytes(oracle_keystream(spec, 69)[5:])
-        assert 1 <= len(residues) == len(set(residues)) <= NON_INVERTIBLE.get(shape, 1)
+        length = period // g
+        assert columns == [(min(length, 2 * spec.l2), length)] * len(residues)
+        assert 1 <= len(residues) <= g
 
     @pytest.mark.parametrize("w", [0, 2])
     def test_one_jump_to_the_first_row(self, w, monkeypatch):
@@ -385,7 +394,7 @@ class TestColumnModel:
         def bit_at(position: int) -> int:
             q, c = divmod(position % (d * period), d)
             t = (q * advance + offsets[c]) % period
-            return (_pow_mod(2, t, spec.c2.mask) & seed).bit_count() & 1
+            return (_powx(t, spec.c2.mask) & seed).bit_count() & 1
 
         jumps, sr2_bits = [], []
         lfsr = generators._lfsr_digits
@@ -415,7 +424,11 @@ class TestColumnModel:
             first = origin % (d * period) // d
             rows = (origin % d + n - 1) // d + 1
             assert jumps == [first * advance % period], (n, origin)
-            assert len(sr2_bits) == 1 and sr2_bits[0] <= min(rows * advance, period), (n, origin)
+            assert len(sr2_bits) == 1, (n, origin)
+            if offsets[-1] + (rows - 1) * advance < period:
+                assert sr2_bits[0] <= rows * advance, (n, origin)
+            else:  # past one SR2 period: the first 2 l2 entries of each decimated column
+                assert sr2_bits[0] <= 2 * 17 * (advance % period) + math.gcd(advance, period), (n, origin)
             probes = [*range(min(n, 32)), *range(max(n - 32, 0), n)]
             assert [z.raw[i] for i in probes] == [bit_at(origin + i) for i in probes], (n, origin)
 
@@ -555,11 +568,11 @@ class TestExtension:
 
     @pytest.fixture
     def extended(self, monkeypatch):
-        """The rows each `_extended` call continues from, one entry per call."""
+        """The rows and width each `_extended` call continues from, one entry per call."""
         calls, extend = [], generators._extended
 
         def counted(rows, width, l2, count):
-            calls.append(len(rows) // width)
+            calls.append((len(rows) // width, width))
             return extend(rows, width, l2, count)
 
         monkeypatch.setattr(generators, "_extended", counted)
@@ -588,7 +601,9 @@ class TestExtension:
                     assert z.raw == bytes(truth[(origin + i) % period] for i in range(n)), (spec, n, origin)
                 if rows > 2 * l2 + 2:
                     assert len(extended) > before, spec
-                assert all(r == 2 * l2 for r in extended[before:])
+                # a 1-bit window whose column starts past one SR2 period (rows < 1
+                # here) continues its decimated columns instead, one at a time
+                assert all(r == 2 * l2 for r, width in extended[before:] if width == d)
         assert len(extended) > 100
 
     @pytest.mark.parametrize("w", [0, 2])
@@ -613,7 +628,7 @@ def keystream_bits(spec: GeneratorSpec, positions: list[int]) -> bytes:
     for p in positions:
         q, c = divmod(p, len(offsets))
         t = (q * advance + offsets[c]) % ((1 << spec.l2) - 1)
-        out.append((_pow_mod(2, t, spec.c2.mask) & seed).bit_count() & 1)
+        out.append((_powx(t, spec.c2.mask) & seed).bit_count() & 1)
     return bytes(out)
 
 

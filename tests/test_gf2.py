@@ -26,7 +26,7 @@ from shrinkca.gf2 import (
     _mod_mask,
     _mul_mask,
     _mul_mod,
-    _pow_mod,
+    _powx,
     _prime_factors,
     _square,
 )
@@ -38,7 +38,7 @@ ZERO = Gf2Poly(0)
 
 
 def pow_mod_right_to_left(base: int, exp: int, mod: int) -> int:
-    """base^exp modulo mod, right to left through _mul_mod: the oracle for _pow_mod."""
+    """base^exp modulo mod, right to left through _mul_mod: the oracle for _powx at base x."""
     result = _mod_mask(1, mod)
     base = _mod_mask(base, mod)
     while exp:
@@ -78,13 +78,13 @@ def irreducible_then_order(p: Gf2Poly) -> bool:
     if m is None or m < 1 or not p.mask & 1 or not is_irreducible(p):
         return False
     order = (1 << m) - 1
-    return all(_pow_mod(0b10, order // q, p.mask) != 1 for q in _prime_factors(order))
+    return all(_powx(order // q, p.mask) != 1 for q in _prime_factors(order))
 
 
 def conjugate_product_min_poly(modulus: Gf2Poly, e: int) -> Gf2Poly:
     # product of (x + lambda^(e 2^i)) over the conjugates, by repeated squaring
     m, mod = modulus.degree, modulus.mask
-    root = _pow_mod(0b10, e % ((1 << m) - 1), mod)
+    root = _powx(e % ((1 << m) - 1), mod)
     coeffs = [1]  # field elements, lowest degree first
     conj = root
     while True:
@@ -175,7 +175,7 @@ class TestGf2Poly:
 
 
 class TestKernels:
-    """_square and _pow_mod against the bit-serial _mul_mask and the right-to-left loop."""
+    """_square and _powx against the bit-serial _mul_mask and the right-to-left loop."""
 
     def test_square_matches_mul_mask(self):
         rng = random.Random(1100)
@@ -190,17 +190,16 @@ class TestKernels:
         rng = random.Random(2 ** 40)
         degrees = (*range(1, 40), 63, 64, 65, *(rng.randrange(40, 1101) for _ in range(16)), 1100)
         for deg in degrees:
-            mod = 1 << deg | rng.getrandbits(deg)
-            exps = (0, 1, 2, 3, rng.getrandbits(8), rng.getrandbits(45), 1 << 40, (1 << deg) - 1)
-            bases = (0, 1, 0b10, mod, mod ^ 0b10, rng.getrandbits(deg), rng.getrandbits(2 * deg + 3))
-            for base in bases:  # mod and mod ^ x are 0 and x modulo mod
-                for exp in exps[: 6 if deg > 200 else None]:
-                    want = pow_mod_right_to_left(base, exp, mod)
-                    assert _pow_mod(base, exp, mod) == want, (deg, base, exp)
-        assert _pow_mod(0b10, 0, 0b11) == 1 and _pow_mod(0b10, 5, 0b11) == 1  # x = 1 mod x + 1
-        assert _pow_mod(0b101, 7, 1) == 0  # modulo 1 everything is 0
+            exps = (0, 1, 2, 3, deg - 1, deg, rng.getrandbits(8), rng.getrandbits(45), 1 << 40, (1 << deg) - 1)
+            for mod in (1 << deg | rng.getrandbits(deg), 1 << deg, 1 << deg | 1):
+                for exp in exps[: 8 if deg > 200 else None]:
+                    assert _powx(exp, mod) == pow_mod_right_to_left(0b10, exp, mod), (deg, mod, exp)
+        for exp in (0, 1, 5):  # the degree-1 moduli x + 1 and x, and the degree-0 modulus 1
+            assert _powx(exp, 0b11) == pow_mod_right_to_left(0b10, exp, 0b11) == 1  # x = 1 mod x + 1
+            assert _powx(exp, 0b10) == pow_mod_right_to_left(0b10, exp, 0b10) == (exp == 0)
+            assert _powx(exp, 1) == pow_mod_right_to_left(0b10, exp, 1) == 0  # modulo 1 everything is 0
         with pytest.raises(ZeroDivisionError):
-            _pow_mod(0b10, 3, 0)
+            _powx(3, 0)
 
 
 class TestIrreduciblePrimitive:
@@ -476,15 +475,15 @@ class TestFieldTable:
         order = t.order
         for _ in range(40):
             k = rng.randrange(-3 * order, 3 * order)
-            v = _pow_mod(0b10, k % order, mod.mask)
+            v = _powx(k % order, mod.mask)
             assert t.element(k) == v
             assert t.discrete_log(v) == k % order
             exps = [rng.randrange(2 * order) for _ in range(rng.randrange(1, 5))]
             acc = 0
             for e in exps:
-                acc ^= _pow_mod(0b10, e, mod.mask)
+                acc ^= _powx(e, mod.mask)
             log = t.power_sum(exps)
-            assert (acc == 0) if log is None else _pow_mod(0b10, log, mod.mask) == acc
+            assert (acc == 0) if log is None else _powx(log, mod.mask) == acc
         assert t.discrete_log(0) is None
         assert t.power_sum([5, 5 + order]) is None
         assert "antilog" not in vars(t) and "log" not in vars(t)
@@ -566,10 +565,10 @@ class TestMinPolyOfPower:
                 mp = min_poly_of_power(modulus, e)
                 coset = {e * (1 << i) % order for i in range(m)}
                 assert mp.degree == len(coset)
-                root = _pow_mod(0b10, e, mod)
+                root = _powx(e, mod)
                 value = 0
                 for k in mp.exponents():
-                    value ^= _pow_mod(root, k, mod)
+                    value ^= pow_mod_right_to_left(root, k, mod)
                 assert value == 0
 
 
@@ -578,6 +577,15 @@ class TestBerlekampMassey:
         assert berlekamp_massey([1, 0, 0, 1, 1, 1, 0] * 3) == Gf2Poly.parse("0,2,3")
         b = [1, 0, 0, 0, 1, 0, 0, 1, 1, 0, 1, 0, 1, 1, 1]
         assert berlekamp_massey(b * 2) == Gf2Poly.parse("0,1,4")
+
+    def test_refuses_bits_other_than_0_and_1(self):
+        # [3, 2, 5, 1] was read by parity, as [1, 0, 1, 1]
+        for bits in ([3, 2, 5, 1], [1, 0, 2], [1, 1.0, 0], [1, -1], "1011"):
+            with pytest.raises(ValueError, match="bits must be 0 or 1"):
+                berlekamp_massey(bits)
+            with pytest.raises(ValueError, match="bits must be 0 or 1"):
+                linear_complexity(bits)
+        assert berlekamp_massey(b"\x01\x00\x01\x01") == berlekamp_massey([1, 0, 1, 1]) == Gf2Poly.parse("0,1,2")
 
     def test_decimated_pn_stream(self):
         bits = [int(c) for c in "111010110010001"]
