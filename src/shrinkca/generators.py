@@ -275,7 +275,7 @@ def _extended(rows: bytes, width: int, l2: int, count: int) -> bytes:
     return _lfsr_digits(spread, int(rows[::-1], 2), count)
 
 
-# A window that wraps SR2's period is built in blocks of rows: about
+# A window continued past SR2's period is built in blocks of rows: about
 # _BLOCK_BYTES of output each, and never fewer than _BLOCK_ROWS rows, since
 # every block costs one slice per column.  Writing the (13, 14) period, 64 rows
 # a block took 30 % longer than 256 and 1024 rows 80 % longer, while blocks of
@@ -283,8 +283,8 @@ def _extended(rows: bytes, width: int, l2: int, count: int) -> bytes:
 _BLOCK_BYTES = 1 << 19
 _BLOCK_ROWS = 256
 
-# A window inside one SR2 period is extended from its first 2 * l2 rows
-# only when that saves more than _EXTEND_BITS bits of lfsr_bytes output.  The
+# A window is continued from its first 2 * l2 rows only when that saves
+# more than _EXTEND_BITS bits of the SR2 read, wrapping or not.  The
 # extension's fixed cost, one Berlekamp-Massey run and one more lfsr_bytes
 # call, measured 25-45 us on a 2-vCPU VM, about what 2^14 bits cost there.
 _EXTEND_BITS = 1 << 14
@@ -308,25 +308,27 @@ def _window(
     stride S.  Bits repeat with period d * P, so the origin is taken
     modulo that, and the window covers rows q0 .. q1 of the columns.
 
-    SR2 is read from is2 at the window's first row q0, origin
-    J = q0 * S mod P (`_lfsr_digits` jumps there), so SR2 is run over the
-    window's own span only, never over the rows it skips.  It is read as
-    ASCII digits, the form format() gives, and each block is translated
-    once at the end, or not at all for the digits table.
+    SR2 is read once, from is2 at the window's first row q0, origin
+    J = q0 * S mod P (`_lfsr_digits` jumps there), as ASCII digits, the form
+    format() gives; each block is translated once at the end, or not at all
+    for the digits table.  Since SR2 repeats every P steps, stride S and
+    stride S mod P (P when that is 0) read the same bits, so column c's
+    first h rows are one slice of that read from off_c at the latter step,
+    and the read is off_(d-1) + (h - 1) (S mod P) + 1 bits, over the
+    window's own span only.  h is all the window's rows unless continuing
+    saves more than _EXTEND_BITS SR2 bits, (rows - h) (S mod P) - (col + n)
+    > _EXTEND_BITS for h = min(rows, 2 l2); shorter windows, such as the
+    4096-bit messages of an attack session, are that one read, sliced,
+    whether or not they wrap SR2's period.
 
-    A window whose column reads stay inside one SR2 period is one block.
-    Its first h = min(rows, 2 l2) rows are one strided slice of SR2 per
-    column.  Every column is SR2's PN sequence decimated by S, so every
-    column is annihilated by base(x), the minimal polynomial of alpha^S for
-    alpha a root of c2: one irreducible polynomial of degree at most l2.
+    Every column is SR2's PN sequence decimated by S, so every column is
+    annihilated by base(x), the minimal polynomial of alpha^S for alpha a
+    root of c2: one irreducible polynomial of degree at most l2.
     Berlekamp-Massey on 2 l2 bits of a nonzero column finds it exactly
-    (`_column_base`), and the interleave of d columns then satisfies
-    base(x^d) = base(x)^d, so the window's other rows are lfsr_bytes of
-    base(x^d) continued from the h rows (`_extended`): d bits a row, where
-    the strided slices read S >= d SR2 bits a row.  The extension is taken
-    when it saves more than _EXTEND_BITS such bits,
-    (rows - h) * S - (col + n) > _EXTEND_BITS; shorter windows, such as
-    the 4096-bit messages of an attack session, keep the strided slices.
+    (`_column_base`).  A window whose column reads stay inside one SR2
+    period is one block: the interleave of d columns satisfies
+    base(x^d) = base(x)^d, so its other rows are lfsr_bytes of base(x^d)
+    continued from the h rows (`_extended`), d bits a row.
 
     Past one SR2 period, with g = gcd(S, P), the columns are rotations of
     the decimated columns v_rho[k] = sr2[(rho + k * S) mod P], one per
@@ -335,14 +337,13 @@ def _window(
     ((t - rho) / g) * (S / g)^-1 mod P / g, rho = t mod g.  S / g is
     invertible mod P / g, since a prime dividing both would divide g once
     more.  g is 1 whenever the attack's model applies.  Each v_rho is SR2
-    decimated by S, so it too satisfies base(x).  SR2 is read once, for the
-    first min(P / g, 2 l2) entries of every v_rho: one strided slice each,
-    of step S mod P (P when that is 0), so at most 2 l2 (S mod P) + g SR2
-    bits.  `_extended` continues each head to P / g entries, and a v_rho
-    that is all zero, as in a degenerate coset, continues as zeros.  SR2's
-    period is never built.  Each v_rho is kept with the first B entries
-    appended, for B rows a block, so any run of a block's rows is one slice
-    of it, and each block fills its rows of every column from those slices.
+    decimated by S, so it too satisfies base(x); its first min(P / g, h)
+    entries are one slice of the same read, as rho <= off_(d-1), and
+    `_extended` continues each to P / g entries (a v_rho that is all zero,
+    as in a degenerate coset, continues as zeros), so SR2's period is never
+    built.  Each v_rho is kept with the first B entries appended, for B rows
+    a block, so any run of a block's rows is one slice of it, and each
+    block fills its rows of every column from those slices.
 
     SR1 is read only as far as the request needs: an m-sequence has no run
     of l1 zeros, so k * l1 bits hold its first k ones, and a window inside
@@ -365,29 +366,27 @@ def _window(
     adv = clock_advances(a, spec.taps)
     offsets, advance = list(compress(adv, a[:span]))[:width], adv[span]
     jump = first * advance % period
-    if offsets[-1] + (rows - 1) * advance < period:
-        head = min(rows, 2 * spec.l2)
-        if (rows - head) * advance - (col + n) <= _EXTEND_BITS:
-            head = rows
-        out = bytearray(head * width)
-        sr2 = _lfsr_digits(spec.c2, spec.is2, offsets[-1] + (head - 1) * advance + 1, jump)
-        for c, off in enumerate(offsets):
-            out[c::width] = sr2[off::advance]
-        if head < rows:
-            return [_from_digits(_extended(out, width, spec.l2, col + n)[col:], table)]
+    step = advance % period or period
+    head = min(rows, 2 * spec.l2)
+    if (rows - head) * step - (col + n) <= _EXTEND_BITS:
+        head = rows
+    sr2 = _lfsr_digits(spec.c2, spec.is2, offsets[-1] + (head - 1) * step + 1, jump)
+    out = bytearray(head * width)
+    for c, off in enumerate(offsets):
+        out[c::width] = sr2[off : off + head * step : step]
+    if head == rows:
         del out[col + n :], out[:col]
         return [_from_digits(out, table)]
-    stride = advance % period
-    g = math.gcd(stride, period)
+    if offsets[-1] + (rows - 1) * advance < period:
+        return [_from_digits(_extended(out, width, spec.l2, col + n)[col:], table)]
+    g = math.gcd(step, period)
     length = period // g
-    inv = pow(stride // g, -1, length)
-    head, step = min(length, 2 * spec.l2), stride or period
+    inv = pow(step // g, -1, length)
+    head = min(length, head)
     places = [divmod(off % period, g) for off in offsets]
-    residues = {rho for _, rho in places}
-    sr2 = _lfsr_digits(spec.c2, spec.is2, max(residues) + (head - 1) * step + 1, jump)
     block = min(max(_BLOCK_BYTES // width, _BLOCK_ROWS), rows)
     columns: dict[int, bytearray] = {}
-    for rho in residues:
+    for rho in {rho for _, rho in places}:
         column = _from_digits(_extended(sr2[rho : rho + head * step : step], 1, spec.l2, length), table)
         # length + block entries, so a run of block rows from any start < length is one
         # slice; a bytearray, since a bytes slice is copied again when assigned into one

@@ -96,6 +96,23 @@ class TestKnownBits:
         assert cols == [{}, {}, {0: 1, 1: 0, 2: 1}, {}, {}, {0: 1}, {}, {}]
         assert [list(col) for col in cols] == [[], [], [0, 1, 2], [], [], [0], [], []]
 
+    def test_period_must_be_positive(self):
+        with pytest.raises(ValueError, match="period must be positive"):
+            KnownBits(0)
+
+    @pytest.mark.parametrize("position", [-1, 24])
+    def test_position_outside_the_period(self, position):
+        kb = KnownBits(24)
+        with pytest.raises(ValueError, match="outside one period"):
+            kb.add(position, 1, "intercepted")
+        assert len(kb) == 0
+
+    def test_bit_must_be_0_or_1(self):
+        kb = KnownBits(24)
+        with pytest.raises(ValueError, match="bit must be 0 or 1"):
+            kb.add(3, 2, "intercepted")
+        assert 3 not in kb
+
     def test_positions_by_provenance(self):
         kb = KnownBits(24)
         kb.add(0, 1, "intercepted")
@@ -543,6 +560,20 @@ class TestFullAttack:
         with pytest.raises(Exhausted):
             full_attack(BitSeq(tuple(bits)), public_spec())
         assert len(searches) == 1
+
+    def test_candidates_must_regenerate_the_intercept(self, monkeypatch):
+        # the search's candidates are checked by regeneration: one that does not
+        # give the intercept is dropped, so it alone is Exhausted, and beside the
+        # true pair it leaves that pair, not Ambiguous
+        true, wrong = ((1, 0, 0, 1), (1, 0, 1, 0, 1)), ((1, 0, 0, 1), (0, 1, 1, 0, 1))
+        pub, z = public_spec(), BitSeq.parse(INTERCEPT)
+        assert shrink_generate(pub.with_seeds(*wrong), len(z)).raw != z.raw
+        monkeypatch.setattr(attack, "phase2_search", lambda *args: attack.Phase2Result([wrong], 7, ()))
+        with pytest.raises(Exhausted, match="every surviving candidate failed regeneration"):
+            full_attack(z, pub)
+        monkeypatch.setattr(attack, "phase2_search", lambda *args: attack.Phase2Result([wrong, true], 7, ()))
+        res = full_attack(z, pub)
+        assert (res.is1, res.is2, res.nodes_expanded) == (*true, 7)
 
     def test_ambiguous_reports_all_candidates(self):
         pub = GeneratorSpec(2, 3, Gf2Poly.parse("0,1,2"), Gf2Poly.parse("0,1,3"))

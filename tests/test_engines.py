@@ -295,6 +295,11 @@ class TestCellularAutomaton:
         assert ca_step(st).cells == (0, 0, 0)
         assert ca_generate(st, 0) == [BitSeq(()) for _ in range(3)]
 
+    def test_negative_state_count(self):
+        st = CaState(RuleVector.from_string("010"), (1, 0, 0))
+        with pytest.raises(ValueError, match="state count must be nonnegative"):
+            ca_generate(st, -1)
+
     def test_cell_count_must_match_rules(self):
         with pytest.raises(ValueError):
             CaState(RuleVector.from_string("010"), (1, 0))

@@ -358,7 +358,8 @@ class TestColumnModel:
 
     @pytest.mark.parametrize("shape", [(4, 7, 0), (5, 9, 1), *sorted(NON_INVERTIBLE)])
     def test_one_continuation_per_residue(self, shape, monkeypatch):
-        """A wrapping window continues each residue's decimated column once, from its head."""
+        """A long wrapping window continues each residue's decimated column once, from its head."""
+        monkeypatch.setattr(generators, "_EXTEND_BITS", float("-inf"))  # else these would be read directly
         columns, extend = [], generators._extended
 
         def counted(rows, width, l2, count):
@@ -432,12 +433,48 @@ class TestColumnModel:
             probes = [*range(min(n, 32)), *range(max(n - 32, 0), n)]
             assert [z.raw[i] for i in probes] == [bit_at(origin + i) for i in probes], (n, origin)
 
+    @pytest.mark.parametrize("shape", ["8-11-0", "4-11-g23"])
+    def test_short_wrapping_window_is_one_read(self, shape, monkeypatch):
+        """A 4096-bit window that wraps SR2's period is one SR2 read at stride S mod P, sliced."""
+        if shape == "8-11-0":
+            spec = random_spec(random.Random(811), 8, 11, 0)
+        else:  # S = 23 divides 2^11 - 1
+            spec = GeneratorSpec.from_json({
+                "l1": 4, "l2": 11, "c1": "0,3,4", "c2": "0,2,11",
+                "is1": "1011", "is2": "10011010111", "taps": [2],
+            })
+        offsets, advance = ones_positions(spec)
+        d, period = len(offsets), (1 << spec.l2) - 1
+        assert math.gcd(advance, period) == (23 if spec.taps else 1)
+        n, origin = 4096, 5
+        rows = (origin % d + n - 1) // d + 1
+        assert offsets[-1] + (rows - 1) * advance >= period  # the window wraps
+        reads, widths = [], []
+        lfsr, extend = generators._lfsr_digits, generators._extended
+
+        def counted_lfsr(charpoly, seed, count, origin=0):
+            if charpoly == spec.c2:
+                reads.append(count)
+            return lfsr(charpoly, seed, count, origin)
+
+        def counted_extend(rows_, width, l2, count):
+            widths.append(width)
+            return extend(rows_, width, l2, count)
+
+        monkeypatch.setattr(generators, "_lfsr_digits", counted_lfsr)
+        monkeypatch.setattr(generators, "_extended", counted_extend)
+        z = engine_window(spec, n, origin)
+        assert len(reads) == 1 and reads[0] <= offsets[-1] + (rows - 1) * (advance % period) + 1, reads
+        assert 1 not in widths
+        assert z.raw == keystream_bits(spec, range(origin, origin + n))
+
 
 class TestRowBlocks:
-    """A window that wraps SR2's period streams in blocks of rows; shrunk blocks cross many edges."""
+    """A window continued past SR2's period streams in blocks of rows; shrunk blocks cross many edges."""
 
     @pytest.fixture(params=[1, 2, 5], ids=lambda rows: f"{rows}-rows")
     def rows(self, request, monkeypatch):
+        monkeypatch.setattr(generators, "_EXTEND_BITS", float("-inf"))  # else these would be read directly
         monkeypatch.setattr(generators, "_BLOCK_BYTES", 1)
         monkeypatch.setattr(generators, "_BLOCK_ROWS", request.param)
         return request.param
@@ -630,6 +667,25 @@ def keystream_bits(spec: GeneratorSpec, positions: list[int]) -> bytes:
         t = (q * advance + offsets[c]) % ((1 << spec.l2) - 1)
         out.append((_powx(t, spec.c2.mask) & seed).bit_count() & 1)
     return bytes(out)
+
+
+class TestInputChecks:
+    """The library refuses a negative count or origin with its own message."""
+
+    @pytest.mark.parametrize("make", [plain_spec, clocked_spec])
+    def test_negative_window(self, make):
+        spec = make()
+        generate = ccsg_generate if spec.taps else shrink_generate
+        with pytest.raises(ValueError, match="bit count must be nonnegative"):
+            generate(spec, -1)
+        with pytest.raises(ValueError, match="origin must be nonnegative"):
+            generate(spec, 8, origin=-1)
+
+    def test_negative_counts(self):
+        with pytest.raises(ValueError, match="bit count must be nonnegative"):
+            decimated_stream(clocked_spec(), -1)
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            clock_counts(clocked_spec(), -1)
 
 
 class TestClockAdvances:

@@ -95,6 +95,10 @@ class TestCosetExponent:
         with pytest.raises(ValueError):
             coset_exponent(3, -1)
 
+    def test_l1_bound(self):
+        with pytest.raises(ValueError, match="l1 must be >= 1"):
+            coset_exponent(0, 0)
+
 
 class TestSynthesize:
     def test_degree5_pair(self):
@@ -207,6 +211,10 @@ class TestConcatenation:
         rv = RuleVector.from_string("110")
         chain = concatenation_chain(rv, 3)
         assert [len(r) for r in chain] == [3, 6, 12, 24]
+
+    def test_negative_steps(self):
+        with pytest.raises(ValueError, match="steps must be nonnegative"):
+            concatenation_chain(RuleVector.from_string("110"), -1)
 
 
 class TestLinearizeGenerator:
