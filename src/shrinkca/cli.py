@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from itertools import chain
 from typing import Iterable, Sequence
@@ -53,8 +54,12 @@ def _load_json(path: str) -> dict:
 def _emit(chunks: Iterable[bytes], output: str | None) -> None:
     """Write ASCII chunks in order: to the file as bytes, or to stdout as text."""
     if output is None:
-        for chunk in chunks:
-            sys.stdout.write(chunk.decode("ascii"))
+        try:
+            for chunk in chunks:
+                sys.stdout.write(chunk.decode("ascii"))
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader closed stdout: stop quietly, and silence the last flush
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     else:
         with open(output, "wb") as fh:
             fh.writelines(chunks)

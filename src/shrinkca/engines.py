@@ -296,9 +296,9 @@ def _cell_basis_traces(rules: RuleVector, cell: int, steps: int) -> list[int]:
 def solve_cell_seed(rules: RuleVector, cell: int, target: Sequence[int]) -> CaState | None:
     """Lexicographically least seed whose given cell traces out `target`, or None.
 
-    Linearity makes this a GF(2) solve.  The system is kept fully reduced
-    with each row's pivot its highest cell, so a pivot cell depends only on
-    free cells before it, and the solution with every free cell 0 is the
+    Linearity makes this a GF(2) solve.  The system keeps its rows in
+    echelon form, each row's pivot its highest cell, so a pivot cell depends
+    only on cells before it, and the solution with every free cell 0 is the
     least one.  The whole target is checked for 0/1 bits before the solve.
     """
     n = len(rules)

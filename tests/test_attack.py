@@ -607,6 +607,20 @@ class TestFullAttack:
         assert a[:38] == b[:38] == intercept.raw
         assert next(i for i, (x, y) in enumerate(zip(a, b)) if x != y) == 43
 
+    @pytest.mark.parametrize("r, pairs", [(4, 512), (8, 32)])
+    def test_short_intercept_verifies_every_pair(self, r, pairs):
+        # with r < l2 no leaf's system is determined: each of the d = 4 leaves
+        # adds r independent equations and yields 2^(l2 - r) pairs, and each
+        # of them is regenerated and fits the intercept
+        pub = GeneratorSpec.from_json({"l1": 3, "l2": 11, "c1": "0,1,3", "c2": "0,2,11"})
+        planted = (bit_tuple("111"), bit_tuple("10011010111"))
+        intercept = shrink_generate(pub.with_seeds(*planted), r)
+        with pytest.raises(Ambiguous) as exc:
+            full_attack(BitSeq(intercept.raw), pub)
+        assert len(exc.value.candidates) == pairs == 4 << 11 - r
+        assert planted in exc.value.candidates
+        assert exc.value.nodes_expanded == 4
+
     def test_intercept_must_cover_one_column_block(self):
         with pytest.raises(ValueError):
             full_attack(BitSeq.parse("1010101"), public_spec())

@@ -121,6 +121,13 @@ class TestGenerate:
         assert out == ""
         assert target.read_text() == "1010110110010\n"
 
+    @pytest.mark.parametrize("kind", ["shrink", "lfsr"])
+    def test_unwritable_output_exits_2(self, capsys, spec_file, tmp_path, kind):
+        argv = ["generate", "--spec", spec_file(README53), "--kind", kind, "--bits", "13"]
+        code, out, err = run(capsys, *argv, "--output", str(tmp_path))  # a directory
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
     def test_kind_requires_matching_taps(self, capsys, spec_file):
         code, _, err = run(
             capsys, "generate", "--spec", spec_file(EXAMPLE1), "--kind", "ccsg", "--bits", "5"
@@ -886,6 +893,33 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["is2"] == "10110"
         assert proc.stderr.count("UserWarning: tap count equals") == 1
+
+    @pytest.mark.parametrize(
+        "data,argv",
+        [
+            (README53, ["generate", "--kind", "shrink", "--bits", "1000000"]),
+            ({"l1": 13, "l2": 14, "c2": "0,1,6,10,14"}, ["linearize"]),  # 143 kB of rules
+        ],
+        ids=["generate", "linearize"],
+    )
+    def test_reader_closing_early_ends_quietly(self, tmp_path, data, argv):
+        # both outputs outgrow a pipe buffer, so the writer meets the closed pipe
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(shrinkca.__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "shrinkca", *argv, "--spec", str(path)],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        head = proc.stdout.read(5)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 0
+        assert len(head) == 5
+        assert err == b""
 
     def test_no_arguments_shows_usage(self):
         proc = subprocess.run(

@@ -671,6 +671,23 @@ class TestLinearSystem:
         assert pinned(s, 0b10) is None
         assert pinned(c, 0b10) == 0
 
+    def test_add_rewrites_no_stored_row(self):
+        """Rows stay in echelon form: an add stores the reduced equation alone."""
+        s = Gf2LinearSystem(2)
+        assert s.add(0b011, 1)
+        assert s.add(0b010, 0)  # reduces to x0 = 1 through row 1, which keeps its x0
+        assert s.rows == {1: 0b111, 0: 0b101}
+        assert s.solution == 0b01
+        rng = random.Random(41)
+        for _ in range(50):
+            n = rng.randrange(2, 9)
+            s = Gf2LinearSystem(n)
+            for _ in range(2 * n):
+                before = dict(s.rows)
+                s.add(rng.randrange(1 << n), rng.randrange(2))
+                assert {p: s.rows[p] for p in before} == before
+                assert all((row & (1 << n) - 1).bit_length() == p + 1 for p, row in s.rows.items())
+
     def test_random_consistency(self):
         rng = random.Random(37)
         for _ in range(50):
@@ -684,9 +701,9 @@ class TestLinearSystem:
             assert truth in set(s.solutions())
 
     def test_against_brute_force(self):
-        """Every add's answer and the solution set match the assignments that
-        satisfy the equations so far, through rank n and past it, in copies
-        taken at rank n - 1 and n as well."""
+        """Every add's answer, the solution set and the unique solution match
+        the assignments that satisfy the equations so far, through rank n and
+        past it, in copies taken at rank n - 1 and n as well."""
 
         def satisfies(x: int, vec: int, rhs: int) -> bool:
             return (x & vec).bit_count() & 1 == rhs
@@ -699,6 +716,7 @@ class TestLinearSystem:
                 sols = list(s.solutions())
                 assert len(sols) == len(set(sols))
                 assert sorted(sols) == fits
+                assert s.solution == (fits[0] if s.rank == n else None)
             return fits
 
         rng = random.Random(53)
